@@ -47,11 +47,22 @@ _COLUMNS = ("t", "h_index", "eta_t", "exp_utility", "exp_revenue",
 _SAMPLED_COLUMNS = _COLUMNS + ("value", "bid_index", "win", "payment")
 
 
-def _worker_count(reps: int) -> int:
-    cap = os.environ.get("FPA_BENCH_THREADS")
-    if cap is not None:
-        return max(1, min(int(cap), reps))
-    return max(1, min(os.cpu_count() or 1, reps))
+def _thread_cap() -> int | None:
+    """FPA_BENCH_THREADS as a positive worker cap, None when unset."""
+    raw = os.environ.get("FPA_BENCH_THREADS")
+    if raw is None:
+        return None
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"FPA_BENCH_THREADS must be a positive integer, got {raw!r}")
+    return cap
+
+
+def _worker_count(reps: int, cap: int | None) -> int:
+    return max(1, min(cap or os.cpu_count() or 1, reps))
 
 
 def _fmt(x) -> str:
@@ -130,9 +141,9 @@ def _run_replication(cfg: ExperimentConfig, rep: int):
     return rep, "\n".join(_trace_rows(trace)) + "\n", summary
 
 
-def _execute(cfg: ExperimentConfig, out_dir: Path | None):
+def _execute(cfg: ExperimentConfig, out_dir: Path | None, threads: int | None):
     reps = cfg.replications
-    workers = _worker_count(reps)
+    workers = _worker_count(reps, threads)
     results = [None] * reps
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
@@ -180,7 +191,7 @@ def _cmd_run(args) -> int:
     out = args.out or cfg.out
     out_dir = Path(out) if out else None
     try:
-        summaries = _execute(cfg, out_dir)
+        summaries = _execute(cfg, out_dir, args.threads)
     except AssertionError as exc:
         print(f"ABORT: {exc}", file=sys.stderr)
         return 2
@@ -393,7 +404,14 @@ def _cmd_sweep(args) -> int:
     if key != "T" or not values:
         print("only --param T=v1,v2,... sweeps are supported", file=sys.stderr)
         return 2
-    points = [int(v) for v in values.split(",")]
+    try:
+        points = [int(v) for v in values.split(",")]
+    except ValueError:
+        points = []
+    if not points or min(points) < 1:
+        print(f"--param T values must be positive integers, got {values!r}",
+              file=sys.stderr)
+        return 2
     try:
         base = parse_config(text)
     except ConfigError as exc:
@@ -409,7 +427,7 @@ def _cmd_sweep(args) -> int:
                                cfg.replications, cfg.out, cfg.checks,
                                cfg.benchmark)
         try:
-            summaries = _execute(cfg, None)
+            summaries = _execute(cfg, None, args.threads)
         except AssertionError as exc:
             print(f"ABORT at T={T}: {exc}", file=sys.stderr)
             return 2
@@ -453,6 +471,12 @@ def main(argv=None) -> int:
     p_sw.set_defaults(fn=_cmd_sweep)
 
     args = parser.parse_args(argv)
+    if args.command in ("run", "sweep"):
+        try:
+            args.threads = _thread_cap()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     return args.fn(args)
 
 

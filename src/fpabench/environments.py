@@ -149,6 +149,8 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
     """
     if mode not in ("exact", "sampled"):
         raise ValueError("mode must be exact or sampled")
+    if benchmark not in ("per-round", "final"):
+        raise ValueError(f"benchmark must be per-round or final, got {benchmark!r}")
     adversary.prepare(T, grid.K, stream_rng(seed, ADVERSARY))
     sampled = mode == "sampled"
     value_u = stream_rng(seed, VALUES).random(T) if sampled else None

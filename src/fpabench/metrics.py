@@ -81,7 +81,8 @@ def optimal_multi_buyer_revenue(F_list) -> float:
 
     Supported for iid standard-uniform buyers only: the optimal mechanism
     awards to the highest virtual value when positive, so the revenue is
-    E[max(0, 2 V_max - 1)], integrated numerically on a fine grid.
+    E[max(0, 2 V_max - 1)] = integral of (2v - 1) n v^(n-1) over [1/2, 1],
+    which is 2n/(n+1) (1 - 2^-(n+1)) - (1 - 2^-n).
     """
     if not F_list:
         raise ValueError("need at least one buyer")
@@ -91,17 +92,7 @@ def optimal_multi_buyer_revenue(F_list) -> float:
                 "only iid uniform buyers are supported; supply the optimal-revenue "
                 "constant manually for other priors")
     n = len(F_list)
-    m = 100_000
-    # integrate (2v - 1) n v^(n-1) over [1/2, 1] by trapezoid
-    total = 0.0
-    prev = 0.0
-    for i in range(m + 1):
-        v = 0.5 + 0.5 * i / m
-        cur = (2.0 * v - 1.0) * n * v ** (n - 1)
-        if i > 0:
-            total += 0.5 * (prev + cur) * (0.5 / m)
-        prev = cur
-    return total
+    return 2.0 * n / (n + 1) * (1.0 - 2.0 ** -(n + 1)) - (1.0 - 2.0 ** -n)
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def ga_step_probabilities(grid: Grid, F: ValueDistribution, p, i: int, eta: floa
         m = j
         total = cand
 
-    x = min((g + total) / (i - m + 1), cap)
+    x = min(max((g + total) / (i - m + 1), 0.0), cap)
 
     out = list(p[: m - 1])
     out.extend([x] * (i - m + 1))
@@ -201,8 +201,9 @@ def project_oracle(poly: ChainPolytope, q):
 
     Runs an exact pool-adjacent dynamic program over the coordinate chain
     (value functions stay convex piecewise quadratic; only their clipped
-    argmins need to be tracked) and then verifies first-order optimality
-    over all block directions.
+    argmins need to be tracked) and then, on every call, checks feasibility
+    and first-order optimality over all contiguous block directions in
+    O(K^2) (see ``_verify_block_optimality``).
     """
     q = [float(t) for t in q]
     if len(q) != len(poly.lower):
@@ -224,33 +225,35 @@ def _project_increasing(q, lo, up):
 
     Stage value functions f_i are convex piecewise quadratic; their
     derivative is a sum of (x - q_j) terms, where term j participates only
-    below the activation threshold tau[j] (the running minimum of later
-    clipped argmins).  The root of each stage derivative is found by
-    pooling terms downward, then clipped into the stage box.
+    below the activation threshold tau[j] = min(amin[j:i]) (the running
+    minimum of later clipped argmins).  The root of each stage derivative
+    is found by pooling terms downward, then clipped into the stage box;
+    tau is carried as a suffix minimum while pooling.
     """
     n = len(q)
-    amin = [0.0] * n            # clipped argmin of each stage value function
-    tau = [math.inf] * (n + 1)  # activation threshold of each derivative term
+    amin = [0.0] * n  # clipped argmin of each stage value function
     L = -math.inf
     for i in range(n):
         L = max(L, lo[i])
-        if i > 0:
-            a_prev = amin[i - 1]
-            for j in range(i):
-                if tau[j] > a_prev:
-                    tau[j] = a_prev
-        tau[i] = math.inf
         # pool terms i, i-1, ... until the pooled root lands in its piece
         r, cnt, s = i, 1, q[i]
         root = s
-        while r > 0 and root < tau[r - 1]:
+        tau_r = math.inf  # tau[r]
+        while r > 0:
+            # tau[r-1]; a tie keeps the lower index, as a forward running
+            # minimum would, which fixes the sign of a zero threshold
+            a = amin[r - 1]
+            tau_prev = a if a <= tau_r else tau_r
+            if not root < tau_prev:
+                break
             r -= 1
             cnt += 1
             s += q[r]
             root = s / cnt
-        if root > tau[r]:
+            tau_r = tau_prev
+        if root > tau_r:
             # sign change happens at an upward jump of the derivative
-            root = tau[r]
+            root = tau_r
         amin[i] = min(max(root, L), up[i])
     x = [0.0] * n
     x[n - 1] = amin[n - 1]
@@ -260,28 +263,47 @@ def _project_increasing(q, lo, up):
 
 
 def _verify_block_optimality(poly: ChainPolytope, q, x, tol: float = 1e-10, act: float = 1e-9):
-    """KKT check: no contiguous block may be shifted to reduce the distance."""
+    """KKT check: no contiguous block may be shifted to reduce the distance.
+
+    Block [a, b] may move up (down) when every coordinate in it is clear of
+    its upper (lower) bound and the chain neighbour it would approach is
+    more than ``act`` away.  It violates optimality when it may move and
+    its summed residual exceeds ``tol * (b - a + 1)`` in that direction.
+    The per-coordinate conditions are computed once and carried as running
+    flags while b grows, so the check is O(K^2).  Both flags only turn
+    false as b grows, so the inner scan stops once neither can hold.
+    Blocks are visited in (a, b) order and "up" is tested before "down",
+    so the first violating block is the one reported.
+    """
     if not poly.contains(x, atol=act):
         raise AssertionError("oracle produced an infeasible point")
     n = len(x)
-    r = [q[j] - x[j] for j in range(n)]
-    lo, up = poly.lower, poly.upper
+    r = [qj - xj for qj, xj in zip(q, x)]
+    below_up = [xj < uj - act for xj, uj in zip(x, poly.upper)]
+    above_lo = [xj > lj + act for xj, lj in zip(x, poly.lower)]
+    # gap to the previous / next neighbour, in the direction a move would close
+    pairs = list(zip(x, x[1:]))  # (x[j], x[j + 1])
+    if poly.increasing:
+        up_start = [True] * n
+        up_end = [xj < xk - act for xj, xk in pairs] + [True]
+        dn_start = [True] + [xk > xj + act for xj, xk in pairs]
+        dn_end = [True] * n
+    else:
+        up_start = [True] + [xk < xj - act for xj, xk in pairs]
+        up_end = [True] * n
+        dn_start = [True] * n
+        dn_end = [xj > xk + act for xj, xk in pairs] + [True]
     for a in range(n):
         s = 0.0
+        up_in = up_start[a]
+        dn_in = dn_start[a]
         for b in range(a, n):
+            up_in = up_in and below_up[b]
+            dn_in = dn_in and above_lo[b]
+            if not (up_in or dn_in):
+                break
             s += r[b]
-            # can the block [a, b] move up / down without leaving the set?
-            if poly.increasing:
-                up_free = all(x[j] < up[j] - act for j in range(a, b + 1)) and (
-                    b == n - 1 or x[b] < x[b + 1] - act)
-                dn_free = all(x[j] > lo[j] + act for j in range(a, b + 1)) and (
-                    a == 0 or x[a] > x[a - 1] + act)
-            else:
-                up_free = all(x[j] < up[j] - act for j in range(a, b + 1)) and (
-                    a == 0 or x[a] < x[a - 1] - act)
-                dn_free = all(x[j] > lo[j] + act for j in range(a, b + 1)) and (
-                    b == n - 1 or x[b] > x[b + 1] + act)
-            if up_free and s > tol * (b - a + 1):
+            if up_in and up_end[b] and s > tol * (b - a + 1):
                 raise AssertionError(f"KKT violation: block [{a},{b}] wants to move up")
-            if dn_free and s < -tol * (b - a + 1):
+            if dn_in and dn_end[b] and s < -tol * (b - a + 1):
                 raise AssertionError(f"KKT violation: block [{a},{b}] wants to move down")

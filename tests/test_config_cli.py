@@ -166,6 +166,27 @@ def test_cli_sweep_emits_one_row_per_point(tmp_path, capsys):
     assert len(sweep) == 3
 
 
+@pytest.mark.parametrize("value", ["two", "0"])
+def test_cli_rejects_bad_thread_cap(tmp_path, capsys, monkeypatch, value):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL.replace("T: 10000", "T: 50"))
+    monkeypatch.setenv("FPA_BENCH_THREADS", value)
+    assert cli_main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "FPA_BENCH_THREADS" in err[0]
+
+
+@pytest.mark.parametrize("param", ["T=abc", "T=100,0", "T=-5"])
+def test_cli_sweep_rejects_bad_horizon(tmp_path, capsys, param):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL + "benchmark: final\n")
+    assert cli_main(["sweep", "--config", str(cfg), "--param", param]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "T" in err[0]
+
+
 def test_cli_entry_point_installed():
     proc = subprocess.run([sys.executable, "-m", "fpabench.cli", "--help"],
                           capture_output=True, text=True)

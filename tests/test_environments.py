@@ -102,6 +102,13 @@ def test_cumulative_columns_are_prefix_sums():
         assert tr.regret_cum[t] == pytest.approx(tr.benchmark_cum[t] - cum, abs=1e-9)
 
 
+def test_run_single_buyer_rejects_unknown_benchmark():
+    lrn = GradientBidder(GRID, Uniform(), FixedStep(0.05))
+    adv = StochasticCompetition((0.2, 0.5, 0.3))
+    with pytest.raises(ValueError, match="benchmark"):
+        run_single_buyer(GRID, Uniform(), lrn, adv, 20, benchmark="perround")
+
+
 def test_exact_and_sampled_modes_agree_for_frozen_strategy():
     F = EqualRevenue(0.1)
     g = BidGrid(2, 0.125)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -161,6 +162,15 @@ def test_optimal_multi_buyer_revenue_values():
         5.0 / 12.0, abs=1e-4)
     with pytest.raises(ValueError):
         optimal_multi_buyer_revenue([EqualRevenue(0.1)])
+
+
+def test_optimal_multi_buyer_revenue_exact_rationals():
+    # E[max(0, 2 V_max - 1)] for n iid U(0,1) buyers
+    exact = {2: Fraction(5, 12), 3: Fraction(17, 32), 4: Fraction(49, 80),
+             5: Fraction(43, 64), 6: Fraction(321, 448)}
+    for n, want in exact.items():
+        assert optimal_multi_buyer_revenue([Uniform()] * n) == pytest.approx(
+            float(want), rel=1e-14, abs=0.0)
 
 
 def test_strong_concavity_modulus_values():

@@ -8,6 +8,7 @@ from fpabench.distributions import Uniform
 from fpabench.grids import BidGrid, IrregularBidGrid
 from fpabench.projection import (
     ChainPolytope,
+    _verify_block_optimality,
     ga_step_probabilities,
     ga_step_thresholds,
     probability_polytope,
@@ -113,20 +114,112 @@ def test_closed_form_matches_oracle_fuzz():
         F = random_distribution(rng)
         i = int(rng.integers(0, K + 1))
         eta = 1e-3 + float(rng.random()) * 2.0
+        _assert_closed_form_matches_oracle(g, F, i, eta, rng)
 
-        ppoly = probability_polytope(g, F)
-        p = random_feasible(ppoly, rng)
-        got, _ = ga_step_probabilities(g, F, p, i, eta)
-        grad = utility_gradient(g, F, p, i)
-        want = project_oracle(ppoly, [a + eta * b for a, b in zip(p, grad)])
+
+def test_closed_form_matches_oracle_k32():
+    rng = make_rng(35)
+    g = BidGrid(32, 1.0 / 33)
+    for _ in range(200):
+        F = random_distribution(rng)
+        i = int(rng.integers(0, 33))
+        eta = 1e-3 + float(rng.random()) * 2.0
+        _assert_closed_form_matches_oracle(g, F, i, eta, rng)
+
+
+def _assert_closed_form_matches_oracle(g, F, i, eta, rng):
+    """Both closed-form steps from random feasible points agree with the oracle."""
+    ppoly = probability_polytope(g, F)
+    p = random_feasible(ppoly, rng)
+    got, _ = ga_step_probabilities(g, F, p, i, eta)
+    grad = utility_gradient(g, F, p, i)
+    want = project_oracle(ppoly, [a + eta * b for a, b in zip(p, grad)])
+    assert max(abs(a - b) for a, b in zip(got, want)) < 1e-9
+
+    vpoly = threshold_polytope(g)
+    v = random_feasible(vpoly, rng)
+    gotv, _ = ga_step_thresholds(g, v, i, eta)
+    gv = _threshold_direction(g, v, i)
+    wantv = project_oracle(vpoly, [a + eta * b for a, b in zip(v, gv)])
+    assert max(abs(a - b) for a, b in zip(gotv, wantv)) < 1e-9
+
+
+def test_pooled_value_clipped_when_bids_pass_the_support():
+    # bids above 0.7 exceed the value support, so the gradient at h can be
+    # negative enough to pull the pooled level below zero before clipping
+    g = BidGrid(8, 0.1)
+    F = Uniform(0.2, 0.7)
+    eta = 0.05
+    poly = probability_polytope(g, F)
+    rng = make_rng(34)
+    p = [0.0] * 8
+    for _ in range(2000):
+        h = int(rng.integers(0, 9))
+        got, diag = ga_step_probabilities(g, F, p, h, eta)
+        if h >= 1:
+            assert 0.0 <= diag.x <= poly.upper[h - 1]
+        grad = utility_gradient(g, F, p, h)
+        want = project_oracle(poly, [a + eta * b for a, b in zip(p, grad)])
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-9
+        p = got
 
-        vpoly = threshold_polytope(g)
-        v = random_feasible(vpoly, rng)
-        gotv, _ = ga_step_thresholds(g, v, i, eta)
-        gv = _threshold_direction(g, v, i)
-        wantv = project_oracle(vpoly, [a + eta * b for a, b in zip(v, gv)])
-        assert max(abs(a - b) for a, b in zip(gotv, wantv)) < 1e-9
+
+def _reference_block_check(poly, q, x, tol=1e-10, act=1e-9):
+    """The original O(K^3) KKT block check, frozen as the reference."""
+    if not poly.contains(x, atol=act):
+        raise AssertionError("oracle produced an infeasible point")
+    n = len(x)
+    r = [q[j] - x[j] for j in range(n)]
+    lo, up = poly.lower, poly.upper
+    for a in range(n):
+        s = 0.0
+        for b in range(a, n):
+            s += r[b]
+            if poly.increasing:
+                up_free = all(x[j] < up[j] - act for j in range(a, b + 1)) and (
+                    b == n - 1 or x[b] < x[b + 1] - act)
+                dn_free = all(x[j] > lo[j] + act for j in range(a, b + 1)) and (
+                    a == 0 or x[a] > x[a - 1] + act)
+            else:
+                up_free = all(x[j] < up[j] - act for j in range(a, b + 1)) and (
+                    a == 0 or x[a] < x[a - 1] - act)
+                dn_free = all(x[j] > lo[j] + act for j in range(a, b + 1)) and (
+                    b == n - 1 or x[b] > x[b + 1] + act)
+            if up_free and s > tol * (b - a + 1):
+                raise AssertionError(f"KKT violation: block [{a},{b}] wants to move up")
+            if dn_free and s < -tol * (b - a + 1):
+                raise AssertionError(f"KKT violation: block [{a},{b}] wants to move down")
+
+
+def _verdict(check, poly, q, x):
+    try:
+        check(poly, q, x)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def test_block_check_matches_reference_fuzz():
+    rng = make_rng(36)
+    raised = 0
+    for _ in range(20000):
+        K = int(rng.integers(1, 33))
+        g = BidGrid(K, float(1.0 / (K + int(rng.integers(1, 3)))))
+        if rng.random() < 0.5:
+            poly = probability_polytope(g, random_distribution(rng))
+        else:
+            poly = threshold_polytope(g)
+        q = [float(t) for t in rng.random(K) * 1.6 - 0.3]
+        x = project_oracle(poly, q)
+        if rng.random() < 0.7:
+            j = int(rng.integers(0, K))
+            # 1.5e-10 straddles the per-coordinate tolerance of 1e-10
+            x[j] += float(rng.choice([1e-6, -1e-6, 1e-3, -1e-3, 1.5e-10, -1.5e-10]))
+        want = _verdict(_reference_block_check, poly, q, x)
+        assert _verdict(_verify_block_optimality, poly, q, x) == want
+        raised += want is not None
+    # both verdicts must be exercised for the comparison to mean anything
+    assert 2000 < raised < 18000
 
 
 def _threshold_direction(g, v, i):
