@@ -55,16 +55,6 @@ def check_thresholds(v, grid: Grid, atol: float = DEFAULT_ATOL):
         prev = vi
 
 
-def check_competing_distribution(d, grid: Grid, atol: float = DEFAULT_ATOL):
-    """Raise if d is not a probability vector over grid points."""
-    if len(d) != grid.K + 1:
-        raise ValueError(f"expected {grid.K + 1} weights, got {len(d)}")
-    if any(di < -atol for di in d):
-        raise ValueError("competing-bid weights must be non-negative")
-    if abs(sum(d) - 1.0) > atol:
-        raise ValueError("competing-bid weights must sum to 1")
-
-
 def clamp_probabilities(p, grid: Grid, F: ValueDistribution):
     """Snap tiny feasibility violations (float drift) back into the polytope."""
     out = []

@@ -3,8 +3,7 @@
 Subcommands:
 
 * ``run``    execute a config's replications, write CSV traces + summary.json
-* ``verify`` run the numeric property suites (oracle equivalence, mirror
-             equivalence, gradient check, concavity, per-step inequalities)
+* ``verify`` run the numeric property suites of ``fpabench.verify``
 * ``sweep``  re-run a config over a grid of one parameter, one summary row
              per point
 """
@@ -18,29 +17,14 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
-from .auction import expected_utility, utility_for_h, utility_gradient
 from .config import ConfigError, ExperimentConfig, parse_config
-from .distributions import EqualRevenue, PiecewiseLinearCDF, Uniform
 from .environments import run_single_buyer
-from .grids import BidGrid
-from .learners import GradientBidder, MisreportingBidder, ThresholdBidder, FixedStep
-from .metrics import (
-    check_regret_step,
-    ic_gap,
-    myerson_revenue,
-    pseudo_regret,
-    strong_concavity_modulus,
-)
-from .projection import (
-    ga_step_probabilities,
-    ga_step_thresholds,
-    probability_polytope,
-    project_oracle,
-    threshold_polytope,
-)
-from .rng import TESTING, stream_rng
+from .learners import MisreportingBidder
+from .metrics import ic_gap, myerson_revenue, pseudo_regret
+from .verify import SUITES
 
 _COLUMNS = ("t", "h_index", "eta_t", "exp_utility", "exp_revenue",
             "benchmark_cum", "regret_cum", "potential", "slack")
@@ -180,14 +164,9 @@ def _cmd_run(args) -> int:
     if cfg is None:
         return 1
     if args.seed is not None:
-        cfg = ExperimentConfig(cfg.grid, cfg.dist, cfg.learner_spec,
-                               cfg.adversary_spec, cfg.T, cfg.mode, args.seed,
-                               cfg.replications, cfg.out, cfg.checks,
-                               cfg.benchmark)
+        cfg = replace(cfg, seed=args.seed)
     if args.reps is not None:
-        cfg = ExperimentConfig(cfg.grid, cfg.dist, cfg.learner_spec,
-                               cfg.adversary_spec, cfg.T, cfg.mode, cfg.seed,
-                               args.reps, cfg.out, cfg.checks, cfg.benchmark)
+        cfg = replace(cfg, replications=args.reps)
     out = args.out or cfg.out
     out_dir = Path(out) if out else None
     try:
@@ -203,203 +182,25 @@ def _cmd_run(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify suites
-
-
-def _random_feasible(poly, rng):
-    """Strictly interior monotone point of the chain polytope."""
-    n = len(poly.lower)
-    u = sorted(rng.random(n))
-    if not poly.increasing:
-        u = u[::-1]
-    x = []
-    for j in range(n):
-        lo, hi = poly.lower[j], poly.upper[j]
-        x.append(lo + u[j] * (hi - lo) * 0.999999)
-    # restore monotonicity possibly broken by uneven boxes
-    if poly.increasing:
-        for j in range(1, n):
-            x[j] = max(x[j], x[j - 1])
-        for j in range(n - 2, -1, -1):
-            x[j] = min(x[j], poly.upper[j])
-    else:
-        for j in range(1, n):
-            x[j] = min(x[j], x[j - 1])
-        for j in range(n - 2, -1, -1):
-            x[j] = max(x[j], poly.lower[j])
-    return x
-
-
-def _random_dist(rng):
-    r = rng.integers(0, 4)
-    if r == 0:
-        return Uniform()
-    if r == 1:
-        a = float(rng.random() * 0.5)
-        return Uniform(a, a + 0.3 + float(rng.random()) * (1.0 - a - 0.3))
-    if r == 2:
-        return EqualRevenue(0.05 + float(rng.random()) * 0.5)
-    xs = (0.0, 0.3, 0.7, 1.0)
-    y1 = float(rng.random()) * 0.6
-    y2 = y1 + float(rng.random()) * (1.0 - y1) * 0.9
-    return PiecewiseLinearCDF(xs, (0.0, y1, y2, 1.0))
-
-
-def _suite_projection(n: int = 10_000) -> tuple[int, float]:
-    rng = stream_rng(7, TESTING, 1)
-    worst = 0.0
-    for _ in range(n):
-        K = int(rng.integers(1, 9))
-        grid = BidGrid(K, float(1.0 / (K + rng.integers(0, 3))))
-        F = _random_dist(rng)
-        i = int(rng.integers(0, K + 1))
-        eta = 1e-3 + float(rng.random()) * 2.0
-        ppoly = probability_polytope(grid, F)
-        p = _random_feasible(ppoly, rng)
-        got, _ = ga_step_probabilities(grid, F, p, i, eta)
-        g = utility_gradient(grid, F, p, i)
-        want = project_oracle(ppoly, [a + eta * b for a, b in zip(p, g)])
-        worst = max(worst, max(abs(a - b) for a, b in zip(got, want)))
-        vpoly = threshold_polytope(grid)
-        v = _random_feasible(vpoly, rng)
-        gotv, _ = ga_step_thresholds(grid, v, i, eta)
-        gv = _threshold_gradient(grid, v, i)
-        wantv = project_oracle(vpoly, [a + eta * b for a, b in zip(v, gv)])
-        worst = max(worst, max(abs(a - b) for a, b in zip(gotv, wantv)))
-    return 2 * n, worst
-
-
-def _threshold_gradient(grid, v, i):
-    # ascent direction in threshold space: the probability-space gradient
-    # under the uniform distribution, flipped through v = 1 - p
-    K, eps, bids = grid.K, grid.eps, grid.bids
-    if i == 0:
-        return [eps] * K
-    g = [0.0] * K
-    g[i - 1] = -(v[i - 1] - bids[i])
-    for j in range(i + 1, K + 1):
-        g[j - 1] = eps
-    return g
-
-
-def _suite_mirror(T: int = 10_000) -> tuple[int, float]:
-    grid = BidGrid(8, 0.1)
-    F = Uniform()
-    rng = stream_rng(7, TESTING, 2)
-    hs = rng.integers(0, 9, size=T)
-    eta = 0.02
-    a1 = GradientBidder(grid, F, FixedStep(eta), p1=[0.0] * 8)
-    a2 = ThresholdBidder(grid, eta, v1=[1.0] * 8)
-    worst = 0.0
-    for h in hs:
-        a1.observe(int(h))
-        a2.observe(int(h))
-        worst = max(worst, max(abs(v - (1.0 - p)) for v, p in zip(a2.v, a1.p)))
-    return T, worst
-
-
-def _suite_gradient(n: int = 2_000) -> tuple[int, float]:
-    rng = stream_rng(7, TESTING, 3)
-    worst = 0.0
-    d = 1e-6
-    done = 0
-    while done < n:
-        K = int(rng.integers(1, 7))
-        grid = BidGrid(K, float(1.0 / (K + 1)))
-        F = _random_dist(rng)
-        poly = probability_polytope(grid, F)
-        if min(poly.upper) < 0.02:
-            # grid reaches past the value support; the utility is kinked
-            # at the cap, where finite differences are meaningless
-            continue
-        done += 1
-        p = _random_feasible(poly, rng)
-        # stay interior so the differences see the smooth branch
-        p = [min(max(pj, 1e-4), poly.upper[j] - 1e-4)
-             for j, pj in enumerate(p)]
-        for j in range(1, K):
-            p[j] = min(p[j], p[j - 1])
-        i = int(rng.integers(0, K + 1))
-        g = utility_gradient(grid, F, p, i)
-        for j in range(K):
-            q = list(p)
-            q[j] += d
-            r = list(p)
-            r[j] -= d
-            fd = (utility_for_h(grid, F, q, i) -
-                  utility_for_h(grid, F, r, i)) / (2 * d)
-            worst = max(worst, abs(fd - g[j]))
-    return n, worst
-
-
-def _suite_concavity(n: int = 10_000) -> tuple[int, float]:
-    rng = stream_rng(7, TESTING, 4)
-    grid = BidGrid(4, 0.2)
-    F = Uniform()
-    d = (0.2,) * 5
-    alpha = strong_concavity_modulus(F, d)
-    poly = probability_polytope(grid, F)
-    worst = math.inf
-
-    def U(p):
-        return expected_utility(grid, F, d, p)
-
-    for _ in range(n):
-        p = _random_feasible(poly, rng)
-        q = _random_feasible(poly, rng)
-        mid = [(a + b) / 2 for a, b in zip(p, q)]
-        gain = U(mid) - 0.5 * (U(p) + U(q))
-        need = alpha / 8.0 * sum((a - b) ** 2 for a, b in zip(p, q))
-        worst = min(worst, gain - need)
-    return n, worst
-
-
-def _suite_stepineq(n: int = 20_000) -> tuple[int, float]:
-    rng = stream_rng(7, TESTING, 5)
-    grid = BidGrid(4, 0.2)
-    poly = threshold_polytope(grid)
-    eta = 0.01
-    worst = math.inf
-    for _ in range(n):
-        v = _random_feasible(poly, rng)
-        h = int(rng.integers(0, 5))
-        vstar = float(rng.random())
-        bench = _random_feasible(poly, rng)
-        after, _ = ga_step_thresholds(grid, v, h, eta)
-        worst = min(worst, check_regret_step(grid, v, after, bench, vstar, h, eta))
-    return n, worst
-
-
-_SUITES = {
-    "projection": (_suite_projection, lambda w: w < 1e-9, "max coordinate error"),
-    "mirror": (_suite_mirror, lambda w: w < 1e-12, "max |v - (1-p)|"),
-    "gradient": (_suite_gradient, lambda w: w < 1e-6, "max |fd - grad|"),
-    "concavity": (_suite_concavity, lambda w: w > -1e-9, "min margin"),
-    "stepineq": (_suite_stepineq, lambda w: w > -1e-8, "min slack"),
-}
-
-
 def _cmd_verify(args) -> int:
-    names = [args.suite] if args.suite else list(_SUITES)
+    names = [args.suite] if args.suite else list(SUITES)
     ok = True
     for name in names:
-        if name not in _SUITES:
-            print(f"unknown suite {name!r}; choices: {', '.join(_SUITES)}",
+        if name not in SUITES:
+            print(f"unknown suite {name!r}; choices: {', '.join(SUITES)}",
                   file=sys.stderr)
             return 2
-        fn, passes, label = _SUITES[name]
+        suite = SUITES[name]
         t0 = time.perf_counter()
-        count, worst = fn()
-        good = passes(worst)
+        count, worst = suite.run_default()
+        good = suite.passes(worst)
         ok = ok and good
-        print(f"{name}: {count} checks, {label} = {worst:.3e} "
+        print(f"{name}: {count} checks, {suite.label} = {worst:.3e} "
               f"[{'pass' if good else 'FAIL'}] ({time.perf_counter() - t0:.1f}s)")
     return 0 if ok else 1
 
 
 def _cmd_sweep(args) -> int:
-    text = Path(args.config).read_text()
     key, _, values = args.param.partition("=")
     if key != "T" or not values:
         print("only --param T=v1,v2,... sweeps are supported", file=sys.stderr)
@@ -412,22 +213,14 @@ def _cmd_sweep(args) -> int:
         print(f"--param T values must be positive integers, got {values!r}",
               file=sys.stderr)
         return 2
-    try:
-        base = parse_config(text)
-    except ConfigError as exc:
-        for err in exc.errors:
-            print(f"config error: {err}", file=sys.stderr)
+    base = _parse_file(args.config)
+    if base is None:
         return 1
     print("T,regret,revenue_excess,ic_gap,min_slack,wall_time_s")
     rows = []
     for T in points:
-        cfg = base
-        cfg = ExperimentConfig(cfg.grid, cfg.dist, cfg.learner_spec,
-                               cfg.adversary_spec, T, cfg.mode, cfg.seed,
-                               cfg.replications, cfg.out, cfg.checks,
-                               cfg.benchmark)
         try:
-            summaries = _execute(cfg, None, args.threads)
+            summaries = _execute(replace(base, T=T), None, args.threads)
         except AssertionError as exc:
             print(f"ABORT at T={T}: {exc}", file=sys.stderr)
             return 2

@@ -129,8 +129,6 @@ class Trace:
     slack: list
     benchmark_cum: list
     regret_cum: list
-    instance_term: list
-    strategies: list | None = None
     value: list | None = None
     bid_index: list | None = None
     win: list | None = None
@@ -139,8 +137,7 @@ class Trace:
 
 def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adversary,
                      T: int, mode: str = "exact", seed: int = 0,
-                     check_steps: bool = True, benchmark: str = "per-round",
-                     record_strategies: bool = False) -> Trace:
+                     check_steps: bool = True, benchmark: str = "per-round") -> Trace:
     """Run the repeated-auction protocol for one buyer.
 
     benchmark="per-round" evaluates the prefix best-fixed benchmark every
@@ -158,8 +155,7 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
     kind = getattr(learner, "kind", None)
     checked = check_steps and kind in ("alg1", "alg2")
 
-    tr = Trace(mode, [], [], [], [], [], [], [], [], [],
-               strategies=[] if record_strategies else None,
+    tr = Trace(mode, [], [], [], [], [], [], [], [],
                value=[] if sampled else None, bid_index=[] if sampled else None,
                win=[] if sampled else None, payment=[] if sampled else None)
     history = History()
@@ -203,11 +199,6 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
             slack = math.nan
             phi = math.nan
 
-        inst = math.nan
-        if kind == "alg1" and h >= 1:
-            pi = before[h - 1]
-            inst = pi * F.quantile(1.0 - pi)
-
         history.past_h.append(h)
         counts[h] += 1
         util_cum += u
@@ -218,9 +209,6 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
         tr.exp_revenue.append(rev)
         tr.potential.append(phi)
         tr.slack.append(slack)
-        tr.instance_term.append(inst)
-        if record_strategies:
-            tr.strategies.append(strat)
 
         if benchmark == "per-round":
             d_hat = tuple(c / t for c in counts)
@@ -285,6 +273,8 @@ def run_multi_buyer(grid: Grid, distributions, learners, reserve, T: int,
     n = len(distributions)
     if n < 2 or len(learners) != n:
         raise ValueError("need >= 2 buyers with one learner each")
+    if any(lrn.grid != grid for lrn in learners):
+        raise ValueError("every learner must bid on the auction's grid")
     if callable(reserve):
         reserve_at = reserve
     elif isinstance(reserve, int):

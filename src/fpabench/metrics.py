@@ -106,7 +106,6 @@ class BenchmarkReport:
     benchmark_total: float
     learner_total: float
     regret: float
-    regret_series: tuple[float, ...]
 
 
 def pseudo_regret(trace, F: ValueDistribution, grid: Grid) -> BenchmarkReport:
@@ -126,18 +125,8 @@ def pseudo_regret(trace, F: ValueDistribution, grid: Grid) -> BenchmarkReport:
     per_round, v_star = best_fixed_utility(grid, F, d_hat)
     learner_total = float(sum(trace.exp_utility))
     benchmark_total = per_round * T
-    series = tuple(bc - cu for bc, cu in zip(
-        trace.benchmark_cum, _cumsum(trace.exp_utility)))
     return BenchmarkReport(d_hat, tuple(v_star), benchmark_total, learner_total,
-                           benchmark_total - learner_total, series)
-
-
-def _cumsum(xs):
-    out, s = [], 0.0
-    for x in xs:
-        s += x
-        out.append(s)
-    return out
+                           benchmark_total - learner_total)
 
 
 # ---------------------------------------------------------------------------

@@ -1,50 +1,13 @@
-"""Shared helpers: seeded generators and random feasible instances."""
+"""Shared helpers: seeded generators for the tests."""
 
 import numpy as np
 import pytest
 
-from fpabench.distributions import EqualRevenue, PiecewiseLinearCDF, Uniform
 from fpabench.rng import TESTING, stream_rng
 
 
 def make_rng(actor: int = 0) -> np.random.Generator:
     return stream_rng(12345, TESTING, actor)
-
-
-def random_distribution(rng):
-    """One of the built-in distribution kinds with random parameters."""
-    r = int(rng.integers(0, 4))
-    if r == 0:
-        return Uniform()
-    if r == 1:
-        a = float(rng.random() * 0.5)
-        return Uniform(a, a + 0.3 + float(rng.random()) * (1.0 - a - 0.3))
-    if r == 2:
-        return EqualRevenue(0.05 + float(rng.random()) * 0.5)
-    y1 = float(rng.random()) * 0.6
-    y2 = y1 + float(rng.random()) * (1.0 - y1) * 0.9
-    return PiecewiseLinearCDF((0.0, 0.3, 0.7, 1.0), (0.0, y1, y2, 1.0))
-
-
-def random_feasible(poly, rng, shrink: float = 0.999999):
-    """Monotone point strictly inside the chain polytope's boxes."""
-    n = len(poly.lower)
-    u = sorted(float(t) for t in rng.random(n))
-    if not poly.increasing:
-        u = u[::-1]
-    x = [poly.lower[j] + u[j] * (poly.upper[j] - poly.lower[j]) * shrink
-         for j in range(n)]
-    if poly.increasing:
-        for j in range(1, n):
-            x[j] = max(x[j], x[j - 1])
-        for j in range(n - 2, -1, -1):
-            x[j] = min(x[j], poly.upper[j])
-    else:
-        for j in range(1, n):
-            x[j] = min(x[j], x[j - 1])
-        for j in range(n - 2, -1, -1):
-            x[j] = max(x[j], poly.lower[j])
-    return x
 
 
 @pytest.fixture

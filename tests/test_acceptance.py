@@ -4,15 +4,13 @@ import math
 
 import pytest
 
-from conftest import make_rng, random_distribution, random_feasible
+from conftest import make_rng
 from fpabench.auction import (
     best_fixed_utility,
     expected_utility,
     probabilities_from_strategy,
     thresholds_from_probabilities,
-    utility_gradient,
 )
-from fpabench.cli import _SUITES
 from fpabench.distributions import EqualRevenue, Uniform
 from fpabench.environments import (
     DecreasingReserve,
@@ -33,20 +31,21 @@ from fpabench.learners import (
     default_eta_threshold,
 )
 from fpabench.metrics import (
-    check_regret_step,
     ic_gap,
     myerson_revenue,
     optimal_multi_buyer_revenue,
     pseudo_regret,
 )
-from fpabench.projection import (
-    ga_step_probabilities,
-    ga_step_thresholds,
-    probability_polytope,
-    project_oracle,
-    threshold_polytope,
-)
+from fpabench.projection import probability_polytope, threshold_polytope
 from fpabench.strategies import MisreportMap
+from fpabench.verify import (
+    SUITES,
+    mirror,
+    projection,
+    random_distribution,
+    random_feasible,
+    stepineq,
+)
 
 
 MIN_SLACKS = []  # per-run minimum robustness slacks, asserted by criterion 6
@@ -57,58 +56,18 @@ def _report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def _threshold_direction(g, v, i):
-    if i == 0:
-        return [g.eps] * g.K
-    d = [0.0] * g.K
-    d[i - 1] = -(v[i - 1] - g.bids[i])
-    for j in range(i + 1, g.K + 1):
-        d[j - 1] = g.eps
-    return d
-
-
 def _min_slack(trace):
     return min(s for s in trace.slack if not math.isnan(s))
 
 
 def test_criterion_01_closed_form_projection_matches_oracle():
-    rng = make_rng(101)
-    worst = 0.0
-    for _ in range(10_000):
-        K = int(rng.integers(1, 9))
-        g = BidGrid(K, float(1.0 / (K + int(rng.integers(0, 3)))))
-        F = random_distribution(rng)
-        i = int(rng.integers(0, K + 1))
-        eta = 1e-3 + float(rng.random()) * 2.0
-
-        ppoly = probability_polytope(g, F)
-        p = random_feasible(ppoly, rng)
-        got, _ = ga_step_probabilities(g, F, p, i, eta)
-        grad = utility_gradient(g, F, p, i)
-        want = project_oracle(ppoly, [a + eta * b for a, b in zip(p, grad)])
-        worst = max(worst, max(abs(a - b) for a, b in zip(got, want)))
-
-        vpoly = threshold_polytope(g)
-        v = random_feasible(vpoly, rng)
-        gotv, _ = ga_step_thresholds(g, v, i, eta)
-        gv = _threshold_direction(g, v, i)
-        wantv = project_oracle(vpoly, [a + eta * b for a, b in zip(v, gv)])
-        worst = max(worst, max(abs(a - b) for a, b in zip(gotv, wantv)))
+    _, worst = projection(make_rng(101), 10_000)
     _report(1, worst < 1e-9,
             f"10^4 instances, both polytopes, max coordinate error {worst:.3e}")
 
 
 def test_criterion_02_threshold_probability_mirror():
-    g = BidGrid(8, 0.1)
-    rng = make_rng(102)
-    eta = 0.02
-    a1 = GradientBidder(g, Uniform(), FixedStep(eta))
-    a2 = ThresholdBidder(g, eta)
-    worst = 0.0
-    for h in rng.integers(0, 9, size=10_000):
-        a1.observe(int(h))
-        a2.observe(int(h))
-        worst = max(worst, max(abs(v - (1 - p)) for v, p in zip(a2.v, a1.p)))
+    _, worst = mirror(make_rng(102), 10_000)
     _report(2, worst < 1e-12,
             f"uniform F, K=8, T=10^4, max |v - (1 - p)| = {worst:.3e}")
 
@@ -180,19 +139,7 @@ def test_criterion_06_per_step_potential_inequalities():
     # (criterion 7's runs assert the same bound internally)
     assert len(MIN_SLACKS) >= 14
     run_min = min(MIN_SLACKS)
-    rng = make_rng(106)
-    g = BidGrid(4, 0.2)
-    poly = threshold_polytope(g)
-    eta = 0.01
-    tuple_min = math.inf
-    for _ in range(100_000):
-        v = random_feasible(poly, rng)
-        h = int(rng.integers(0, 5))
-        after, _ = ga_step_thresholds(g, v, h, eta)
-        bench = random_feasible(poly, rng)
-        vstar = float(rng.random())
-        tuple_min = min(tuple_min,
-                        check_regret_step(g, v, after, bench, vstar, h, eta))
+    _, tuple_min = stepineq(make_rng(106), 100_000)
     ok = run_min >= -1e-8 and tuple_min >= -1e-8
     _report(6, ok, f"min robustness slack over runs {run_min:.3e}, "
                    f"min regret-step slack over 10^5 tuples {tuple_min:.3e}")
@@ -308,9 +255,9 @@ def test_criterion_10_multi_buyer_revenue_cap():
 def test_criterion_11_numerical_hygiene_suite():
     results = []
     for name in ("gradient", "concavity"):
-        fn, passes, label = _SUITES[name]
-        count, worst = fn()
-        results.append((name, passes(worst), f"{label} {worst:.2e}"))
+        suite = SUITES[name]
+        _, worst = suite.run_default()
+        results.append((name, suite.passes(worst), f"{suite.label} {worst:.2e}"))
 
     # transform round-trips across all distribution kinds
     rng = make_rng(111)

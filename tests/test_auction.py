@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_rng, random_distribution, random_feasible
+from conftest import make_rng
 from fpabench.auction import (
     best_fixed_utility,
     bid_for_value,
@@ -18,6 +18,7 @@ from fpabench.auction import (
 from fpabench.distributions import EqualRevenue, Uniform
 from fpabench.grids import BidGrid
 from fpabench.projection import probability_polytope, threshold_polytope
+from fpabench.verify import random_distribution, random_feasible
 
 
 GRID2 = BidGrid(2, 0.25)  # bids {0, 0.25, 0.5}

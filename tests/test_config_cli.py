@@ -10,6 +10,7 @@ from fpabench.distributions import EqualRevenue, Uniform
 from fpabench.environments import DecreasingReserve, StochasticCompetition
 from fpabench.grids import BidGrid, IrregularBidGrid
 from fpabench.learners import GradientBidder, MisreportingBidder, ThresholdBidder
+from fpabench.verify import SUITES
 
 
 MINIMAL = """
@@ -140,6 +141,43 @@ def test_cli_run_is_byte_deterministic(tmp_path):
     assert (out1 / "trace_rep0.csv").read_bytes() == (out2 / "trace_rep0.csv").read_bytes()
 
 
+# three sampled replications, so a three-worker run uses the process pool
+THREE_REPS = MINIMAL.replace("T: 10000", "T: 200") + "mode: sampled\nreplications: 3\n"
+
+
+def test_cli_run_output_independent_of_worker_count(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(THREE_REPS)
+    summaries = []
+    for threads in (1, 3):
+        monkeypatch.setenv("FPA_BENCH_THREADS", str(threads))
+        out = tmp_path / f"w{threads}"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        for rep in summary["replications"]:
+            del rep["wall_time_s"]
+        summaries.append(summary)
+    assert summaries[0] == summaries[1]
+    for rep in range(3):
+        name = f"trace_rep{rep}.csv"
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w3" / name).read_bytes()
+
+
+def test_cli_sweep_output_independent_of_worker_count(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(THREE_REPS)
+    rows = []
+    for threads in (1, 3):
+        monkeypatch.setenv("FPA_BENCH_THREADS", str(threads))
+        out = tmp_path / f"w{threads}"
+        assert cli_main(["sweep", "--config", str(cfg), "--param", "T=100,200",
+                         "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0].endswith(",wall_time_s") and len(lines) == 3
+        rows.append([line.rsplit(",", 1)[0] for line in lines])
+    assert rows[0] == rows[1]
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("grid: {K: 2}\nT: 0\n")
@@ -152,6 +190,12 @@ def test_cli_verify_mirror_suite(capsys):
     assert cli_main(["verify", "mirror"]) == 0
     out = capsys.readouterr().out
     assert "mirror" in out and "pass" in out
+
+
+def test_cli_verify_unknown_suite_lists_the_suites(capsys):
+    assert cli_main(["verify", "nosuch"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.split("choices: ")[1].split(", ") == list(SUITES)
 
 
 def test_cli_sweep_emits_one_row_per_point(tmp_path, capsys):

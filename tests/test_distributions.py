@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_rng, random_distribution
+from conftest import make_rng
 from fpabench.distributions import EqualRevenue, PiecewiseLinearCDF, Uniform
+from fpabench.verify import random_distribution
 
 
 def numeric_tail_integral(F, q, n=200_000):

@@ -213,3 +213,13 @@ def test_multi_buyer_unwinnable_rounds_skip_observe():
     res = run_multi_buyer(g, [Uniform(), Uniform()], learners, 0, 400, seed=8)
     sentinel_rounds = [t for t in range(400) if res.h_index[t][0] == UNWINNABLE]
     assert sentinel_rounds  # the construction produces unwinnable rounds
+
+
+@pytest.mark.parametrize("K", [8, 2])
+def test_multi_buyer_rejects_learners_on_another_grid(K):
+    # unchecked, K=8 learners run with their bid indices read on the K=4
+    # grid, and K=2 learners fail mid-run on competing-bid index 3
+    g = BidGrid(4, 0.125)
+    learners = [ThresholdBidder(BidGrid(K, 0.125), 0.01) for _ in range(3)]
+    with pytest.raises(ValueError, match="grid"):
+        run_multi_buyer(g, [Uniform()] * 3, learners, 0, 200, seed=7)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import make_rng, random_distribution, random_feasible
+from conftest import make_rng
 from fpabench.auction import check_probabilities, check_thresholds, utility_gradient
 from fpabench.distributions import Uniform
 from fpabench.grids import BidGrid, IrregularBidGrid
@@ -15,6 +15,7 @@ from fpabench.projection import (
     project_oracle,
     threshold_polytope,
 )
+from fpabench.verify import closed_form_error, random_distribution, random_feasible
 
 
 GRID2 = BidGrid(2, 0.25)
@@ -114,7 +115,7 @@ def test_closed_form_matches_oracle_fuzz():
         F = random_distribution(rng)
         i = int(rng.integers(0, K + 1))
         eta = 1e-3 + float(rng.random()) * 2.0
-        _assert_closed_form_matches_oracle(g, F, i, eta, rng)
+        assert closed_form_error(g, F, i, eta, rng) < 1e-9
 
 
 def test_closed_form_matches_oracle_k32():
@@ -124,24 +125,7 @@ def test_closed_form_matches_oracle_k32():
         F = random_distribution(rng)
         i = int(rng.integers(0, 33))
         eta = 1e-3 + float(rng.random()) * 2.0
-        _assert_closed_form_matches_oracle(g, F, i, eta, rng)
-
-
-def _assert_closed_form_matches_oracle(g, F, i, eta, rng):
-    """Both closed-form steps from random feasible points agree with the oracle."""
-    ppoly = probability_polytope(g, F)
-    p = random_feasible(ppoly, rng)
-    got, _ = ga_step_probabilities(g, F, p, i, eta)
-    grad = utility_gradient(g, F, p, i)
-    want = project_oracle(ppoly, [a + eta * b for a, b in zip(p, grad)])
-    assert max(abs(a - b) for a, b in zip(got, want)) < 1e-9
-
-    vpoly = threshold_polytope(g)
-    v = random_feasible(vpoly, rng)
-    gotv, _ = ga_step_thresholds(g, v, i, eta)
-    gv = _threshold_direction(g, v, i)
-    wantv = project_oracle(vpoly, [a + eta * b for a, b in zip(v, gv)])
-    assert max(abs(a - b) for a, b in zip(gotv, wantv)) < 1e-9
+        assert closed_form_error(g, F, i, eta, rng) < 1e-9
 
 
 def test_pooled_value_clipped_when_bids_pass_the_support():
@@ -220,16 +204,6 @@ def test_block_check_matches_reference_fuzz():
         raised += want is not None
     # both verdicts must be exercised for the comparison to mean anything
     assert 2000 < raised < 18000
-
-
-def _threshold_direction(g, v, i):
-    if i == 0:
-        return [g.eps] * g.K
-    d = [0.0] * g.K
-    d[i - 1] = -(v[i - 1] - g.bids[i])
-    for j in range(i + 1, g.K + 1):
-        d[j - 1] = g.eps
-    return d
 
 
 def test_oracle_non_expansive():

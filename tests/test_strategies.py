@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_rng, random_distribution, random_feasible
+from conftest import make_rng
 from fpabench.distributions import EqualRevenue, Uniform
 from fpabench.grids import BidGrid
 from fpabench.projection import threshold_polytope
@@ -13,6 +13,7 @@ from fpabench.strategies import (
     MisreportMap,
     ThresholdStrategy,
 )
+from fpabench.verify import random_distribution, random_feasible
 
 
 GRID2 = BidGrid(2, 0.125)  # bids {0, 1/8, 1/4}
