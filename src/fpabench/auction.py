@@ -22,6 +22,7 @@ from .distributions import ValueDistribution
 from .grids import Grid
 
 DEFAULT_ATOL = 1e-9
+CLAMP_TOL = 1e-12  # largest correction clamp_* accepts as float drift
 
 
 # ---------------------------------------------------------------------------
@@ -56,23 +57,33 @@ def check_thresholds(v, grid: Grid, atol: float = DEFAULT_ATOL):
 
 
 def clamp_probabilities(p, grid: Grid, F: ValueDistribution):
-    """Snap tiny feasibility violations (float drift) back into the polytope."""
+    """Snap float drift back into the polytope; raise on anything larger."""
     out = []
     prev = 1.0
     for j, pj in enumerate(p, start=1):
-        cap = 1.0 - F.cdf(grid.bids[j])
-        out.append(min(max(pj, 0.0), prev, cap))
-        prev = out[-1]
+        prev = min(max(pj, 0.0), prev, 1.0 - F.cdf(grid.bids[j]))
+        if prev != pj:
+            _check_drift("p", j, pj, prev)
+        out.append(prev)
     return out
 
 
 def clamp_thresholds(v, grid: Grid):
+    """Threshold twin of clamp_probabilities."""
     out = []
     prev = 0.0
     for i, vi in enumerate(v, start=1):
-        out.append(max(min(vi, 1.0), prev, grid.bids[i]))
-        prev = out[-1]
+        prev = max(min(vi, 1.0), prev, grid.bids[i])
+        if prev != vi:
+            _check_drift("v", i, vi, prev)
+        out.append(prev)
     return out
+
+
+def _check_drift(name: str, j: int, was: float, now: float) -> None:
+    if not abs(now - was) <= CLAMP_TOL:  # "not <=" fails a NaN coordinate too
+        raise AssertionError(f"clamp moved {name}_{j} by {abs(now - was):.3g} "
+                             f"({was!r} -> {now!r}): more than float drift")
 
 
 # ---------------------------------------------------------------------------
@@ -121,21 +132,27 @@ def expected_utility(grid: Grid, F: ValueDistribution, d, p) -> float:
     return sum(di * utility_for_h(grid, F, p, i) for i, di in enumerate(d) if di != 0.0)
 
 
+def threshold_margin(F: ValueDistribution, p_i: float, b_i: float) -> float:
+    """max(F^-(1 - p_i) - b_i, 0): the ``utility_gradient`` component at b_i."""
+    return max(F.quantile(1.0 - p_i) - b_i, 0.0)
+
+
 def utility_gradient(grid: Grid, F: ValueDistribution, p, i: int):
     """Supergradient of p -> utility_for_h(grid, F, p, i).
 
-    Component j: 0 below the competing bid, F^-(1 - p_i) - b_i at it, and
-    minus the grid gap above it.  When the competing bid is b_0 every
-    coordinate move only changes payment, so all components are negative
-    gaps.
+    Component j: 0 below the competing bid, ``threshold_margin`` at it, and
+    minus the grid gap above it.  The raw margin F^-(1 - p_i) - b_i is
+    negative only at the cap p_i = 1 - F(b_i) with F flat just below b_i,
+    a kink whose superdifferential holds 0; 0 is the component taken there.
+    When the competing bid is b_0 every coordinate move only changes
+    payment, so all components are negative gaps.
     """
     bids = grid.bids
     g = [0.0] * grid.K
-    for j in range(max(i, 1), grid.K + 1):
-        if j == i:
-            g[j - 1] = F.quantile(1.0 - p[i - 1]) - bids[i]
-        else:
-            g[j - 1] = -(bids[j] - bids[j - 1])
+    for j in range(i + 1, grid.K + 1):
+        g[j - 1] = -(bids[j] - bids[j - 1])
+    if i:
+        g[i - 1] = threshold_margin(F, p[i - 1], bids[i])
     return g
 
 

@@ -20,7 +20,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, parse_config, seed_error
 from .environments import run_single_buyer
 from .learners import MisreportingBidder
 from .metrics import ic_gap, myerson_revenue, pseudo_regret
@@ -167,6 +167,10 @@ def _cmd_run(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     if args.reps is not None:
         cfg = replace(cfg, replications=args.reps)
+    problem = seed_error(cfg.seed, cfg.replications)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 1
     out = args.out or cfg.out
     out_dir = Path(out) if out else None
     try:
@@ -216,8 +220,8 @@ def _cmd_sweep(args) -> int:
     base = _parse_file(args.config)
     if base is None:
         return 1
-    print("T,regret,revenue_excess,ic_gap,min_slack,wall_time_s")
-    rows = []
+    lines = ["T,regret,revenue_excess,ic_gap,min_slack,wall_time_s"]
+    print(lines[0])
     for T in points:
         try:
             summaries = _execute(replace(base, T=T), None, args.threads)
@@ -231,13 +235,11 @@ def _cmd_sweep(args) -> int:
                min(s["min_slack"] for s in summaries)
                if summaries[0]["min_slack"] is not None else math.nan,
                sum(s["wall_time_s"] for s in summaries))
-        rows.append(row)
-        print(",".join(_fmt(x) for x in row))
+        lines.append(",".join(_fmt(x) for x in row))
+        print(lines[-1])
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        lines = ["T,regret,revenue_excess,ic_gap,min_slack,wall_time_s"]
-        lines += [",".join(_fmt(x) for x in r) for r in rows]
         (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     return 0
 

@@ -8,7 +8,7 @@ tree and reports every error it finds, not just the first.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 
@@ -110,12 +110,31 @@ def _call(spec: str):
     return name, pos, kw
 
 
+def _integer(value, name: str) -> int:
+    """An integral YAML number or numeric string as int: 4.9 is an error, not 4."""
+    if not isinstance(value, bool) and (not isinstance(value, float) or value.is_integer()):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name}: not an integer: {value!r}")
+
+
+def seed_error(seed: int, replications: int) -> str | None:
+    """Why replications on seeds seed, seed + 1, ... (64-bit keys) cannot run, or None."""
+    if replications < 1:
+        return "replications: must be >= 1"
+    if not 0 <= seed <= 2**64 - replications:
+        return f"seed: must lie in 0..2**64 - replications, got {seed}"
+    return None
+
+
 def parse_grid(node) -> Grid:
     if not isinstance(node, dict):
         raise ValueError("grid must be a mapping with K/eps or bids")
     keys = set(node)
     if keys == {"K", "eps"}:
-        return BidGrid(int(node["K"]), float(node["eps"]))
+        return BidGrid(_integer(node["K"], "K"), float(node["eps"]))
     if keys == {"bids"}:
         return IrregularBidGrid(tuple(float(b) for b in node["bids"]))
     raise ValueError(f"grid keys must be {{K, eps}} or {{bids}}, got {sorted(keys)}")
@@ -226,7 +245,7 @@ def _expand_preset(spec: str, data: dict, errors: list):
         return
     try:
         delta = float(kw.get("delta", 0.1))
-        T = int(kw["T"]) if "T" in kw else int(data.get("T", 0))
+        T = _integer(kw["T"] if "T" in kw else data.get("T", 0), "T")
     except (KeyError, ValueError) as exc:
         errors.append(f"preset: {exc}")
         return
@@ -273,25 +292,18 @@ def parse_config(text: str) -> ExperimentConfig:
         except (ValueError, TypeError) as exc:
             errors.append(f"dist: {exc}")
 
-    T = 0
-    try:
-        T = int(data.get("T", 0))
-        if T < 1:
-            errors.append("T: must be >= 1")
-    except (TypeError, ValueError):
-        errors.append(f"T: not an integer: {data.get('T')!r}")
-    try:
-        reps = int(data.get("replications", 1))
-        if reps < 1:
-            errors.append("replications: must be >= 1")
-    except (TypeError, ValueError):
-        reps = 1
-        errors.append(f"replications: not an integer: {data.get('replications')!r}")
-    try:
-        seed = int(data.get("seed", 0))
-    except (TypeError, ValueError):
-        seed = 0
-        errors.append(f"seed: not an integer: {data.get('seed')!r}")
+    def integer(key, default):
+        try:
+            return _integer(data.get(key, default), key)
+        except ValueError as exc:
+            errors.append(str(exc))
+            return None
+
+    T, reps, seed = integer("T", 0), integer("replications", 1), integer("seed", 0)
+    if T is not None and T < 1:
+        errors.append("T: must be >= 1")
+    if reps is not None and seed is not None and (problem := seed_error(seed, reps)):
+        errors.append(problem)
 
     mode = str(data.get("mode", "exact"))
     if mode not in ("exact", "sampled"):
@@ -312,7 +324,7 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append("missing key 'adversary'")
 
     # dry-build the grammar-backed pieces so the errors surface here
-    if grid is not None and dist is not None and T >= 1:
+    if grid is not None and dist is not None and T is not None and T >= 1:
         if "learner" in data:
             try:
                 _build_learner(learner_spec, grid, dist, T)

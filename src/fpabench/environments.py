@@ -11,6 +11,7 @@ Two run modes:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .auction import best_fixed_utility
@@ -277,10 +278,13 @@ def run_multi_buyer(grid: Grid, distributions, learners, reserve, T: int,
         raise ValueError("every learner must bid on the auction's grid")
     if callable(reserve):
         reserve_at = reserve
-    elif isinstance(reserve, int):
-        reserve_at = lambda t: reserve
     else:
-        seq = list(reserve)
+        try:
+            seq = [operator.index(reserve)] * T
+        except TypeError:
+            seq = [operator.index(r) for r in reserve][:T]
+        if len(seq) < T:
+            raise ValueError(f"reserve sequence covers {len(seq)} of {T} rounds")
         reserve_at = lambda t: seq[t - 1]
 
     value_u = [stream_rng(seed, VALUES, i).random(T) for i in range(n)]

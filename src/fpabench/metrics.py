@@ -167,10 +167,16 @@ def check_robustness_step(grid: Grid, F: ValueDistribution, before, after,
     return bound - (dphi + rev)
 
 
-def _regret_potential(v, istar: int, vstar: float, eta: float) -> float:
-    tot = sum(vstar - vj for vj in v if vstar > vj)
-    tot += sum(v[:istar])
-    return tot / eta
+def _step_slack(grid: Grid, before, after, vstar: float, h: int, eta: float,
+                w: int, potential) -> float:
+    """Slack of one telescoping step: comparison bid b_w, potential(v)."""
+    u = bid_for_value(before, vstar)
+    bids = grid.bids
+    R = ((vstar - bids[w]) * (1 if h <= w else 0)
+         - (vstar - bids[u]) * (1 if h <= u else 0))
+    dphi = potential(after) - potential(before)
+    near = min(abs(vj - vstar) for vj in before) <= eta
+    return (3.0 if near else 0.0) - (dphi + R)
 
 
 def check_regret_step(grid: Grid, before, after, benchmark, vstar: float,
@@ -183,20 +189,11 @@ def check_regret_step(grid: Grid, before, after, benchmark, vstar: float,
     """
     check_thresholds(benchmark, grid)
     istar = bid_for_value(benchmark, vstar)
-    u = bid_for_value(before, vstar)
-    bids = grid.bids
-    R = ((vstar - bids[istar]) * (1 if h <= istar else 0)
-         - (vstar - bids[u]) * (1 if h <= u else 0))
-    dphi = (_regret_potential(after, istar, vstar, eta)
-            - _regret_potential(before, istar, vstar, eta))
-    near = min(abs(vj - vstar) for vj in before) <= eta
-    return (3.0 if near else 0.0) - (dphi + R)
 
+    def potential(v):
+        return (sum(vstar - vj for vj in v if vstar > vj) + sum(v[:istar])) / eta
 
-def _ic_potential(v, vstar: float, mstar: float, eta: float) -> float:
-    tot = sum(vstar - vj for vj in v if vstar > vj)
-    tot -= sum(mstar - vj for vj in v if mstar > vj)
-    return tot / eta
+    return _step_slack(grid, before, after, vstar, h, eta, istar, potential)
 
 
 def check_ic_step(grid: Grid, before, after, report: MisreportMap, vstar: float,
@@ -204,15 +201,13 @@ def check_ic_step(grid: Grid, before, after, report: MisreportMap, vstar: float,
     """Slack of the per-round misreport-gain inequality (same machinery,
     different potential table)."""
     mstar = report(vstar)
-    w = bid_for_value(before, mstar)
-    u = bid_for_value(before, vstar)
-    bids = grid.bids
-    R = ((vstar - bids[w]) * (1 if h <= w else 0)
-         - (vstar - bids[u]) * (1 if h <= u else 0))
-    dphi = (_ic_potential(after, vstar, mstar, eta)
-            - _ic_potential(before, vstar, mstar, eta))
-    near = min(abs(vj - vstar) for vj in before) <= eta
-    return (3.0 if near else 0.0) - (dphi + R)
+
+    def potential(v):
+        return (sum(vstar - vj for vj in v if vstar > vj)
+                - sum(mstar - vj for vj in v if mstar > vj)) / eta
+
+    return _step_slack(grid, before, after, vstar, h, eta,
+                       bid_for_value(before, mstar), potential)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +253,4 @@ def strong_concavity_modulus(F: ValueDistribution, d) -> float:
     support = [di for di in d if di > 0.0]
     if not support:
         raise ValueError("competing-bid distribution has empty support")
-    if min(support) <= 0.0:
-        raise ValueError("support weights must be strictly positive")
     return min(support) / F.density_bound

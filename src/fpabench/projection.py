@@ -2,8 +2,10 @@
 
 The two learners update by a gradient step followed by a Euclidean
 projection onto their polytope (bidding probabilities or thresholds).
-Both projections have O(K) closed forms: a pooled block [m, i] around the
-competing bid, a translated stretch (i, ell), and a saturated tail.
+Both are one O(K) closed form on a non-decreasing chain, ``_chain_step``:
+a pooled block [m, i] around the competing bid, a translated stretch
+(i, ell), and a saturated tail.  The threshold step runs it on v; the
+probability step runs it on -p and negates the result.
 
 ``project_oracle`` is an independent exact solver for the generic chain
 polytope (monotone vector with per-coordinate box bounds), used as ground
@@ -14,16 +16,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .auction import clamp_probabilities, clamp_thresholds, check_probabilities, check_thresholds
+from .auction import (
+    check_probabilities,
+    check_thresholds,
+    clamp_probabilities,
+    clamp_thresholds,
+    threshold_margin,
+)
 from .distributions import ValueDistribution
 from .grids import BidGrid, Grid
 
 _SLACK = 1e-12  # comparison slack toward inclusion in the m / ell scans
 
 
-@dataclass(frozen=True)
-class ProjectionDiagnostics:
+class ProjectionDiagnostics(NamedTuple):
     """Shape of one closed-form update: pooled block [m, i], saturation from ell."""
 
     m: int
@@ -32,61 +40,69 @@ class ProjectionDiagnostics:
     pooled_count: int
 
 
-def _require_uniform(grid: Grid) -> float:
+def _step_size(grid: Grid, i: int, eta: float) -> float:
     if not isinstance(grid, BidGrid):
         raise TypeError("closed-form updates require a uniform bid grid")
-    return grid.eps
+    if eta <= 0.0:
+        raise ValueError("step size eta must be positive")
+    if not (0 <= i <= grid.K):
+        raise ValueError(f"competing-bid index {i} outside 0..{grid.K}")
+    return eta * grid.eps
+
+
+def _chain_step(q, i: int, g: float, step: float, floor: float, ceil: float):
+    """Closed-form projected step on a non-decreasing chain capped by ceil.
+
+    Coordinate i takes the gain g >= 0 and must stay at or above floor;
+    every coordinate above i moves up by step.  Returns the point with m,
+    ell and the pooled value x (m = 0 and x = nan when i = 0, where every
+    coordinate just moves up).  The argument order of min and max fixes
+    the sign of zeros that the probability step's negation relies on.
+    """
+    K = len(q)
+    top = ceil - step - _SLACK
+    ell = next((j for j in range(i + 1, K + 1) if q[j - 1] >= top), K + 1)
+    if i == 0:
+        return [min(ceil, qj + step) for qj in q], 0, ell, math.nan
+
+    # scan the pooled-block start downward; both conditions are monotone,
+    # so the first failure ends the scan
+    m = i
+    total = q[i - 1]  # sum of q_k over k in [m, i]
+    for j in range(i - 1, 0, -1):
+        cand = total + q[j - 1]
+        if q[j - 1] < floor - _SLACK:
+            break
+        if cand - (i - j + 1) * q[j - 1] > g + _SLACK:
+            break
+        m = j
+        total = cand
+
+    x = max(min(ceil, (total - g) / (i - m + 1)), floor)
+
+    out = list(q[: m - 1])
+    out.extend([x] * (i - m + 1))
+    for j in range(i + 1, ell):
+        out.append(q[j - 1] + step)
+    out.extend([ceil] * (K + 1 - ell))
+    return out, m, ell, x
 
 
 def ga_step_probabilities(grid: Grid, F: ValueDistribution, p, i: int, eta: float):
     """One agile gradient-ascent round for the bidding-probability learner.
 
     Returns the projection of p + eta * grad onto the probability polytope,
-    together with diagnostics.  The competing bid is b_i.
+    together with diagnostics.  The competing bid is b_i.  Runs the chain
+    step on -p, which is non-decreasing with floor -(1 - F(b_i)) at i.
     """
-    eps = _require_uniform(grid)
-    if eta <= 0.0:
-        raise ValueError("step size eta must be positive")
+    step = _step_size(grid, i, eta)
     check_probabilities(p, grid, F)
-    K = grid.K
-    bids = grid.bids
-    step = eta * eps
-
-    if i == 0:
-        # every coordinate only pays more when raised: pure downward clamp
-        out = [max(pj - step, 0.0) for pj in p]
-        ell = next((j for j in range(1, K + 1) if p[j - 1] <= step + _SLACK), K + 1)
-        return clamp_probabilities(out, grid, F), ProjectionDiagnostics(0, ell, math.nan, 0)
-
-    if not (1 <= i <= K):
-        raise ValueError(f"competing-bid index {i} outside 0..{K}")
-
-    g = eta * (F.quantile(1.0 - p[i - 1]) - bids[i])
-    cap = 1.0 - F.cdf(bids[i])
-
-    ell = next((j for j in range(i + 1, K + 1) if p[j - 1] <= step + _SLACK), K + 1)
-
-    # scan the pooled-block start downward; both conditions are monotone,
-    # so the first failure ends the scan
-    m = i
-    total = p[i - 1]  # sum of p_k over k in [m, i]
-    for j in range(i - 1, 0, -1):
-        cand = total + p[j - 1]
-        if p[j - 1] > cap + _SLACK:
-            break
-        if (i - j + 1) * p[j - 1] - cand > g + _SLACK:
-            break
-        m = j
-        total = cand
-
-    x = min(max((g + total) / (i - m + 1), 0.0), cap)
-
-    out = list(p[: m - 1])
-    out.extend([x] * (i - m + 1))
-    for j in range(i + 1, ell):
-        out.append(p[j - 1] - step)
-    out.extend([0.0] * (K + 1 - ell))
-    return clamp_probabilities(out, grid, F), ProjectionDiagnostics(m, ell, x, i - m + 1)
+    b = grid.bids[i]
+    g = eta * threshold_margin(F, p[i - 1], b) if i else 0.0
+    floor = -(1.0 - F.cdf(b)) if i else 0.0
+    out, m, ell, x = _chain_step([-pj for pj in p], i, g, step, floor, -0.0)
+    return (clamp_probabilities([-t for t in out], grid, F),
+            ProjectionDiagnostics(m, ell, -x, i - m + 1 if i else 0))
 
 
 def ga_step_thresholds(grid: Grid, v, i: int, eta: float):
@@ -95,45 +111,12 @@ def ga_step_thresholds(grid: Grid, v, i: int, eta: float):
     Mirror image of ga_step_probabilities under v = 1 - p with the uniform
     value distribution.
     """
-    eps = _require_uniform(grid)
-    if eta <= 0.0:
-        raise ValueError("step size eta must be positive")
+    step = _step_size(grid, i, eta)
     check_thresholds(v, grid)
-    K = grid.K
-    bids = grid.bids
-    step = eta * eps
-
-    if i == 0:
-        out = [min(vj + step, 1.0) for vj in v]
-        ell = next((j for j in range(1, K + 1) if v[j - 1] >= 1.0 - step - _SLACK), K + 1)
-        return clamp_thresholds(out, grid), ProjectionDiagnostics(0, ell, math.nan, 0)
-
-    if not (1 <= i <= K):
-        raise ValueError(f"competing-bid index {i} outside 0..{K}")
-
-    g = eta * (v[i - 1] - bids[i])
-
-    ell = next((j for j in range(i + 1, K + 1) if v[j - 1] >= 1.0 - step - _SLACK), K + 1)
-
-    m = i
-    total = v[i - 1]
-    for j in range(i - 1, 0, -1):
-        cand = total + v[j - 1]
-        if v[j - 1] < bids[i] - _SLACK:
-            break
-        if cand - (i - j + 1) * v[j - 1] > g + _SLACK:
-            break
-        m = j
-        total = cand
-
-    x = max((total - g) / (i - m + 1), bids[i])
-
-    out = list(v[: m - 1])
-    out.extend([x] * (i - m + 1))
-    for j in range(i + 1, ell):
-        out.append(v[j - 1] + step)
-    out.extend([1.0] * (K + 1 - ell))
-    return clamp_thresholds(out, grid), ProjectionDiagnostics(m, ell, x, i - m + 1)
+    b = grid.bids[i]
+    g = eta * (v[i - 1] - b) if i else 0.0
+    out, m, ell, x = _chain_step(v, i, g, step, b, 1.0)
+    return clamp_thresholds(out, grid), ProjectionDiagnostics(m, ell, x, i - m + 1 if i else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +138,13 @@ class ChainPolytope:
         object.__setattr__(self, "upper", hi)
         if len(lo) != len(hi) or not lo:
             raise ValueError("lower/upper bounds must be non-empty and match")
-        if any(a > b + 1e-12 for a, b in zip(lo, hi)):
-            raise ValueError("infeasible box: lower exceeds upper")
-        # chain feasibility: running extreme of the binding bound must fit
-        if self.increasing:
-            run = -math.inf
-            for a, b in zip(lo, hi):
-                run = max(run, a)
-                if run > b + 1e-12:
-                    raise ValueError("infeasible chain: no monotone point in the box")
-        else:
-            run = -math.inf
-            for a, b in zip(reversed(lo), reversed(hi)):
-                run = max(run, a)
-                if run > b + 1e-12:
-                    raise ValueError("infeasible chain: no monotone point in the box")
+        # the running max of the floors, taken in the direction the chain
+        # rises, must fit under every ceiling (this covers each box too)
+        run = -math.inf
+        for a, b in (zip(lo, hi) if self.increasing else zip(lo[::-1], hi[::-1])):
+            run = max(run, a)
+            if run > b + 1e-12:
+                raise ValueError("infeasible chain: no monotone point in the box")
 
     def contains(self, x, atol: float = 1e-9) -> bool:
         n = len(x)

@@ -63,16 +63,12 @@ def random_feasible(poly, rng):
     x = [poly.lower[j] + u[j] * (poly.upper[j] - poly.lower[j]) * 0.999999
          for j in range(n)]
     # restore monotonicity possibly broken by uneven boxes
-    if poly.increasing:
-        for j in range(1, n):
-            x[j] = max(x[j], x[j - 1])
-        for j in range(n - 2, -1, -1):
-            x[j] = min(x[j], poly.upper[j])
-    else:
-        for j in range(1, n):
-            x[j] = min(x[j], x[j - 1])
-        for j in range(n - 2, -1, -1):
-            x[j] = max(x[j], poly.lower[j])
+    follow, clip, bound = ((max, min, poly.upper) if poly.increasing
+                           else (min, max, poly.lower))
+    for j in range(1, n):
+        x[j] = follow(x[j], x[j - 1])
+    for j in range(n - 2, -1, -1):
+        x[j] = clip(x[j], bound[j])
     return x
 
 

@@ -2,8 +2,6 @@
 
 import math
 
-import pytest
-
 from conftest import make_rng
 from fpabench.auction import (
     best_fixed_utility,

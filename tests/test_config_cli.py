@@ -9,7 +9,7 @@ from fpabench.config import ConfigError, parse_config, parse_misreport_table
 from fpabench.distributions import EqualRevenue, Uniform
 from fpabench.environments import DecreasingReserve, StochasticCompetition
 from fpabench.grids import BidGrid, IrregularBidGrid
-from fpabench.learners import GradientBidder, MisreportingBidder, ThresholdBidder
+from fpabench.learners import GradientBidder, ThresholdBidder
 from fpabench.verify import SUITES
 
 
@@ -236,3 +236,39 @@ def test_cli_entry_point_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "fpa-bench" in proc.stdout
+
+
+@pytest.mark.parametrize("flags, needle", [
+    (["--reps", "0"], "replications"),
+    (["--reps", "-2"], "replications"),
+    (["--seed", "-1"], "seed"),
+    (["--seed", str(2**64 - 1), "--reps", "2"], "seed"),
+], ids=["reps0", "reps-2", "seed-1", "seed-past-64-bits"])
+def test_cli_run_rejects_bad_seed_or_reps(tmp_path, capsys, flags, needle):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL.replace("T: 10000", "T: 50"))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)] + flags) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and needle in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, needle", [
+    ("seed: 1", "seed: -1", "seed: must lie in"),
+    ("K: 2,", "K: 4.9,", "K: not an integer: 4.9"),
+    ("T: 10000", "T: 50.9", "T: not an integer: 50.9"),
+    ("T: 10000", "T: 50\nreplications: 2.5", "replications: not an integer: 2.5"),
+], ids=["seed", "K", "T", "replications"])
+def test_cli_run_rejects_non_integral_or_negative_config_values(tmp_path, capsys,
+                                                               old, new, needle):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL.replace(old, new))
+    assert cli_main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and needle in err[0]
+
+
+def test_parse_config_accepts_integral_floats():
+    cfg = parse_config(MINIMAL.replace("K: 2,", "K: 2.0,").replace("T: 10000", "T: 50.0"))
+    assert cfg.grid == BidGrid(2, 0.25) and cfg.T == 50

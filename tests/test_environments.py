@@ -223,3 +223,22 @@ def test_multi_buyer_rejects_learners_on_another_grid(K):
     learners = [ThresholdBidder(BidGrid(K, 0.125), 0.01) for _ in range(3)]
     with pytest.raises(ValueError, match="grid"):
         run_multi_buyer(g, [Uniform()] * 3, learners, 0, 200, seed=7)
+
+
+def test_multi_buyer_accepts_an_integral_numpy_reserve():
+    g = BidGrid(4, 0.125)
+
+    def run(reserve):
+        learners = [ThresholdBidder(g, 0.01) for _ in range(3)]
+        return run_multi_buyer(g, [Uniform()] * 3, learners, reserve, 100, seed=7)
+
+    assert run(np.int64(4)).revenue == run(4).revenue
+
+
+def test_multi_buyer_rejects_a_short_reserve_sequence_before_the_first_round():
+    g = BidGrid(4, 0.125)
+    learners = [ThresholdBidder(g, 0.01) for _ in range(3)]
+    with pytest.raises(ValueError, match="99 of 100 rounds"):
+        run_multi_buyer(g, [Uniform()] * 3, learners, [4] * 99, 100, seed=7)
+    # no learner moved: the run stopped before its first round
+    assert all(lrn.t == 1 for lrn in learners)

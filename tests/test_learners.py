@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from conftest import make_rng

@@ -1,10 +1,18 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_rng
-from fpabench.auction import check_probabilities, check_thresholds, utility_gradient
-from fpabench.distributions import Uniform
+from fpabench.auction import (
+    check_probabilities,
+    check_thresholds,
+    clamp_probabilities,
+    clamp_thresholds,
+    utility_gradient,
+)
+from fpabench.distributions import EqualRevenue, PiecewiseLinearCDF, Uniform
 from fpabench.grids import BidGrid, IrregularBidGrid
 from fpabench.projection import (
     ChainPolytope,
@@ -15,7 +23,12 @@ from fpabench.projection import (
     project_oracle,
     threshold_polytope,
 )
-from fpabench.verify import closed_form_error, random_distribution, random_feasible
+from fpabench.verify import (
+    closed_form_error,
+    random_distribution,
+    random_feasible,
+    threshold_gradient,
+)
 
 
 GRID2 = BidGrid(2, 0.25)
@@ -259,3 +272,226 @@ def test_mirror_equivalence_short_run():
         p, _ = ga_step_probabilities(g, Uniform(), p, h, eta)
         v, _ = ga_step_thresholds(g, v, h, eta)
         assert max(abs(vj - (1.0 - pj)) for vj, pj in zip(v, p)) < 1e-12
+
+
+def test_probability_step_at_a_flat_cdf_kink_matches_oracle():
+    # p_2 sits at its cap 1 - F(0.4) = 1 and F is flat below 0.4, so the
+    # raw margin F^-(0) - b_2 = -0.4 is negative; the supergradient taken
+    # there is 0 and the step must agree with the oracle without repair
+    g, F, p, eta = BidGrid(4, 0.2), Uniform(0.5, 1.0), [1.0, 1.0, 0.8, 0.4], 1.5
+    got, diag = ga_step_probabilities(g, F, p, 2, eta)
+    grad = utility_gradient(g, F, p, 2)
+    assert grad[1] == 0.0
+    want = project_oracle(probability_polytope(g, F),
+                          [a + eta * b for a, b in zip(p, grad)])
+    assert got == pytest.approx(want, abs=1e-9)
+    assert got == pytest.approx((1.0, 1.0, 0.5, 0.1), abs=1e-12)
+    assert diag.x == 1.0
+
+
+def test_clamps_raise_on_more_than_float_drift():
+    g = BidGrid(2, 0.25)
+    assert clamp_probabilities([0.5, 0.5 + 1e-13], g, Uniform()) == [0.5, 0.5]
+    assert clamp_thresholds([0.5, 0.5 - 1e-13], g) == [0.5, 0.5]
+    with pytest.raises(AssertionError, match=r"p_2 by 0\.1"):
+        clamp_probabilities([0.4, 0.5], g, Uniform())
+    with pytest.raises(AssertionError, match=r"v_1 by 0\.05"):
+        clamp_thresholds([0.2, 0.5], g)
+    with pytest.raises(AssertionError, match="v_2"):
+        clamp_thresholds([0.5, math.nan], g)
+
+
+# ---------------------------------------------------------------------------
+# closed form vs oracle from points at their caps (property test)
+
+
+_DISTRIBUTIONS = st.one_of(
+    st.just(Uniform()),
+    # supports that end below the top bid or start above the lowest bids
+    st.floats(0.0, 0.6).flatmap(
+        lambda a: st.floats(a + 0.05, 1.0).map(lambda b: Uniform(a, b))),
+    st.floats(0.01, 0.8).map(EqualRevenue),
+    # a flat middle stretch (y1 == y2) puts a kink inside the support
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+        lambda ys: PiecewiseLinearCDF((0.0, 0.3, 0.7, 1.0),
+                                      (0.0, min(ys), max(ys), 1.0))),
+)
+# 1.0 puts a coordinate at its cap (p_j = 1 - F(b_j), v_j = b_j)
+_POSITION = st.one_of(st.just(1.0), st.just(0.0), st.floats(0.0, 1.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(K=st.integers(1, 8), reach=st.floats(0.3, 1.0), F=_DISTRIBUTIONS,
+       eta=st.floats(1e-9, 2.0), data=st.data())
+def test_closed_forms_match_oracle_from_the_caps(K, reach, F, eta, data):
+    g = BidGrid(K, reach / K)  # the top bid is reach, up to 1
+    i = data.draw(st.integers(0, K), label="i")
+    pos = data.draw(st.lists(_POSITION, min_size=K, max_size=K), label="pos")
+
+    ppoly = probability_polytope(g, F)
+    p, prev = [], 1.0
+    for cap, u in zip(ppoly.upper, pos):
+        prev = min(prev, cap if u == 1.0 else u * cap)
+        p.append(prev)
+    got, _ = ga_step_probabilities(g, F, p, i, eta)
+    grad = utility_gradient(g, F, p, i)
+    want = project_oracle(ppoly, [a + eta * b for a, b in zip(p, grad)])
+    assert max(abs(a - b) for a, b in zip(got, want)) < 1e-9
+
+    v, prev = [], 0.0
+    for b, u in zip(g.bids[1:], reversed(pos)):
+        prev = max(prev, b if u == 1.0 else min(1.0, b + (1.0 - u) * (1.0 - b)))
+        v.append(prev)
+    got, _ = ga_step_thresholds(g, v, i, eta)
+    grad = threshold_gradient(g, v, i)
+    want = project_oracle(threshold_polytope(g), [a + eta * b for a, b in zip(v, grad)])
+    assert max(abs(a - b) for a, b in zip(got, want)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the one chain step against the two closed forms it replaced
+
+
+_SLACK = 1e-12
+
+
+def _reference_probability_kernel(grid, F, p, i, eta):
+    """The former probability-space closed form, before its clamp.
+
+    Returns (point, (m, ell, x, pooled_count), gain at i).
+    """
+    K, bids, step = grid.K, grid.bids, eta * grid.eps
+    if i == 0:
+        out = [max(pj - step, 0.0) for pj in p]
+        ell = next((j for j in range(1, K + 1) if p[j - 1] <= step + _SLACK), K + 1)
+        return out, (0, ell, math.nan, 0), 0.0
+    g = eta * (F.quantile(1.0 - p[i - 1]) - bids[i])
+    cap = 1.0 - F.cdf(bids[i])
+    ell = next((j for j in range(i + 1, K + 1) if p[j - 1] <= step + _SLACK), K + 1)
+    m = i
+    total = p[i - 1]
+    for j in range(i - 1, 0, -1):
+        cand = total + p[j - 1]
+        if p[j - 1] > cap + _SLACK:
+            break
+        if (i - j + 1) * p[j - 1] - cand > g + _SLACK:
+            break
+        m = j
+        total = cand
+    x = min(max((g + total) / (i - m + 1), 0.0), cap)
+    out = list(p[: m - 1])
+    out.extend([x] * (i - m + 1))
+    for j in range(i + 1, ell):
+        out.append(p[j - 1] - step)
+    out.extend([0.0] * (K + 1 - ell))
+    return out, (m, ell, x, i - m + 1), g
+
+
+def _reference_threshold_kernel(grid, v, i, eta):
+    """The former threshold-space closed form, before its clamp."""
+    K, bids, step = grid.K, grid.bids, eta * grid.eps
+    if i == 0:
+        out = [min(vj + step, 1.0) for vj in v]
+        ell = next((j for j in range(1, K + 1) if v[j - 1] >= 1.0 - step - _SLACK), K + 1)
+        return out, (0, ell, math.nan, 0)
+    g = eta * (v[i - 1] - bids[i])
+    ell = next((j for j in range(i + 1, K + 1) if v[j - 1] >= 1.0 - step - _SLACK), K + 1)
+    m = i
+    total = v[i - 1]
+    for j in range(i - 1, 0, -1):
+        cand = total + v[j - 1]
+        if v[j - 1] < bids[i] - _SLACK:
+            break
+        if cand - (i - j + 1) * v[j - 1] > g + _SLACK:
+            break
+        m = j
+        total = cand
+    x = max((total - g) / (i - m + 1), bids[i])
+    out = list(v[: m - 1])
+    out.extend([x] * (i - m + 1))
+    for j in range(i + 1, ell):
+        out.append(v[j - 1] + step)
+    out.extend([1.0] * (K + 1 - ell))
+    return out, (m, ell, x, i - m + 1)
+
+
+def _bits(xs):
+    """Values with the sign of each zero, so 0.0 and -0.0 differ."""
+    return [(x, math.copysign(1.0, x)) for x in xs]
+
+
+def _same_diagnostics(diag, ref):
+    m, ell, x, count = ref
+    return ((diag.m, diag.ell, diag.pooled_count) == (m, ell, count)
+            and (math.isnan(diag.x) and math.isnan(x) or _bits([diag.x]) == _bits([x])))
+
+
+def _compare_probability_step(grid, F, p, i, eta):
+    got, diag = ga_step_probabilities(grid, F, p, i, eta)
+    raw, ref_diag, gain = _reference_probability_kernel(grid, F, p, i, eta)
+    if gain >= 0.0:
+        assert _bits(got) == _bits(clamp_probabilities(raw, grid, F))
+        assert _same_diagnostics(diag, ref_diag)
+    else:
+        grad = utility_gradient(grid, F, p, i)
+        want = project_oracle(probability_polytope(grid, F),
+                              [a + eta * b for a, b in zip(p, grad)])
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-9
+    return got, gain < 0.0
+
+
+def _compare_threshold_step(grid, v, i, eta):
+    got, diag = ga_step_thresholds(grid, v, i, eta)
+    raw, ref_diag = _reference_threshold_kernel(grid, v, i, eta)
+    assert _bits(got) == _bits(clamp_thresholds(raw, grid))
+    assert _same_diagnostics(diag, ref_diag)
+    return got
+
+
+def _at_caps(x, poly, rng):
+    """x with a random subset of coordinates moved onto their binding bound."""
+    bound = poly.lower if poly.increasing else poly.upper
+    for j in range(len(x)):
+        if rng.random() < 0.3:
+            x[j] = bound[j]
+    # restore the chain order through the bound that was just imposed
+    if poly.increasing:
+        for j in range(1, len(x)):
+            x[j] = max(x[j], x[j - 1])
+    else:
+        for j in range(1, len(x)):
+            x[j] = min(x[j], x[j - 1])
+    return x
+
+
+def test_chain_step_bit_identical_to_former_closed_forms():
+    rng = make_rng(37)
+    steps = negative = 0
+    # independent instances, a third of them started on their caps
+    for _ in range(20_000):
+        K = int(rng.integers(1, 9))
+        g = BidGrid(K, float(1.0 / (K + int(rng.integers(0, 3)))))
+        F = random_distribution(rng)
+        i = int(rng.integers(0, K + 1))
+        eta = float(10.0 ** rng.uniform(-4.0, math.log10(2.0)))
+        ppoly, vpoly = probability_polytope(g, F), threshold_polytope(g)
+        p, v = random_feasible(ppoly, rng), random_feasible(vpoly, rng)
+        if rng.random() < 1 / 3:
+            p, v = _at_caps(p, ppoly, rng), _at_caps(v, vpoly, rng)
+        negative += _compare_probability_step(g, F, p, i, eta)[1]
+        _compare_threshold_step(g, v, i, eta)
+        steps += 2
+    # learner trajectories from the initial points, which reach the caps
+    for _ in range(200):
+        K = int(rng.integers(1, 9))
+        g = BidGrid(K, float(1.0 / (K + int(rng.integers(0, 3)))))
+        F = random_distribution(rng)
+        eta = float(10.0 ** rng.uniform(-2.0, math.log10(2.0)))
+        p, v = [0.0] * K, [1.0] * K
+        for h in rng.integers(0, K + 1, size=150):
+            p, neg = _compare_probability_step(g, F, p, int(h), eta)
+            v = _compare_threshold_step(g, v, int(h), eta)
+            negative += neg
+            steps += 2
+    assert steps >= 100_000
+    assert negative > 0  # the kink where the former gain went negative is hit
