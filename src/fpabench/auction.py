@@ -30,28 +30,28 @@ CLAMP_TOL = 1e-12  # largest correction clamp_* accepts as float drift
 
 
 def check_probabilities(p, grid: Grid, F: ValueDistribution, atol: float = DEFAULT_ATOL):
-    """Raise if p is not a valid bidding-probability vector."""
+    """Raise if p is not a valid bidding-probability vector (NaN fails)."""
     if len(p) != grid.K:
         raise ValueError(f"expected {grid.K} components, got {len(p)}")
     prev = 1.0
     for j, pj in enumerate(p, start=1):
-        if pj < -atol or pj > prev + atol:
+        if not -atol <= pj <= prev + atol:
             raise ValueError(f"p_{j}={pj} breaks monotonicity 1 >= p_1 >= ... >= 0")
         cap = 1.0 - F.cdf(grid.bids[j])
-        if pj > cap + atol:
+        if not pj <= cap + atol:
             raise ValueError(f"p_{j}={pj} exceeds no-overbid cap {cap}")
         prev = pj
 
 
 def check_thresholds(v, grid: Grid, atol: float = DEFAULT_ATOL):
-    """Raise if v is not a valid threshold vector."""
+    """Raise if v is not a valid threshold vector (NaN fails)."""
     if len(v) != grid.K:
         raise ValueError(f"expected {grid.K} components, got {len(v)}")
     prev = 0.0
     for i, vi in enumerate(v, start=1):
-        if vi < prev - atol or vi > 1.0 + atol:
+        if not prev - atol <= vi <= 1.0 + atol:
             raise ValueError(f"v_{i}={vi} breaks monotonicity 0 <= v_1 <= ... <= 1")
-        if vi < grid.bids[i] - atol:
+        if not vi >= grid.bids[i] - atol:
             raise ValueError(f"v_{i}={vi} below bid {grid.bids[i]} (overbidding)")
         prev = vi
 
@@ -147,6 +147,8 @@ def utility_gradient(grid: Grid, F: ValueDistribution, p, i: int):
     When the competing bid is b_0 every coordinate move only changes
     payment, so all components are negative gaps.
     """
+    if not 0 <= i <= grid.K:
+        raise ValueError(f"competing-bid index {i} outside 0..{grid.K}")
     bids = grid.bids
     g = [0.0] * grid.K
     for j in range(i + 1, grid.K + 1):

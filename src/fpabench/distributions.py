@@ -24,8 +24,6 @@ from dataclasses import dataclass
 class ValueDistribution:
     """Interface shared by the built-in distributions."""
 
-    kind: str
-
     def cdf(self, x: float) -> float:
         raise NotImplementedError
 
@@ -63,12 +61,6 @@ class Uniform(ValueDistribution):
     def __post_init__(self):
         if not (0.0 <= self.a < self.b <= 1.0):
             raise ValueError("uniform support needs 0 <= a < b <= 1")
-
-    @property
-    def kind(self) -> str:
-        if self.a == 0.0 and self.b == 1.0:
-            return "uniform"
-        return f"uniform({self.a},{self.b})"
 
     def cdf(self, x: float) -> float:
         if x <= self.a:
@@ -120,10 +112,6 @@ class EqualRevenue(ValueDistribution):
         # to be nonempty
         if not (0.0 < self.delta < 0.875):
             raise ValueError("delta must lie in (0, 7/8)")
-
-    @property
-    def kind(self) -> str:
-        return f"equirev({self.delta})"
 
     @property
     def _knee(self) -> float:
@@ -211,11 +199,6 @@ class PiecewiseLinearCDF(ValueDistribution):
             raise ValueError("x knots must be strictly increasing")
         if any(y2 - y1 < 0 for y1, y2 in zip(ys, ys[1:])):
             raise ValueError("y knots must be non-decreasing")
-
-    @property
-    def kind(self) -> str:
-        pairs = ",".join(f"{x}:{y}" for x, y in zip(self.xs, self.ys))
-        return f"pwl({pairs})"
 
     def cdf(self, x: float) -> float:
         xs, ys = self.xs, self.ys

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .auction import best_fixed_utility
 from .distributions import ValueDistribution
 from .grids import Grid
-from .metrics import check_robustness_step, potential_euclidean, potential_threshold_revenue
+from .metrics import ROBUSTNESS_STATE, check_robustness_step
 from .rng import ADVERSARY, RANKING, VALUES, stream_rng
 
 UNWINNABLE = -1
@@ -141,9 +141,11 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
                      check_steps: bool = True, benchmark: str = "per-round") -> Trace:
     """Run the repeated-auction protocol for one buyer.
 
-    benchmark="per-round" evaluates the prefix best-fixed benchmark every
-    round (what the CSV trace wants); "final" computes it once at the end,
-    which is much cheaper for large sweeps and leaves the same totals.
+    The loop records each round; one pass after it fills the benchmark and
+    regret columns.  benchmark="per-round" evaluates the prefix best-fixed
+    benchmark at every t (what the CSV trace wants); "final" evaluates it
+    once for the whole horizon, which is much cheaper for large sweeps and
+    leaves the same totals.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError("mode must be exact or sampled")
@@ -154,22 +156,23 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
     value_u = stream_rng(seed, VALUES).random(T) if sampled else None
 
     kind = getattr(learner, "kind", None)
-    checked = check_steps and kind in ("alg1", "alg2")
+    state = ROBUSTNESS_STATE.get(kind) if check_steps else None
 
     tr = Trace(mode, [], [], [], [], [], [], [], [],
                value=[] if sampled else None, bid_index=[] if sampled else None,
                win=[] if sampled else None, payment=[] if sampled else None)
-    history = History()
-    counts = [0] * (grid.K + 1)
-    util_cum = 0.0
+    # the adversary reads the recorded columns, which grow round by round
+    history = History(past_h=tr.h_index, past_values=tr.value if sampled else [])
     bids = grid.bids
 
     for t in range(1, T + 1):
         strat = learner.strategy()
         history.current_strategy = strat
-        h = adversary.next(t, history)
-        u = strat.exact_utility(F, h)
-        rev = strat.exact_revenue(F, h)
+        h = operator.index(adversary.next(t, history))
+        if not 0 <= h <= grid.K:
+            raise ValueError(f"adversary returned h={h} at t={t}, outside 0..{grid.K}")
+        tr.exp_utility.append(strat.exact_utility(F, h))
+        tr.exp_revenue.append(strat.exact_revenue(F, h))
 
         if sampled:
             val = F.quantile(float(value_u[t - 1]))
@@ -179,55 +182,37 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
             tr.bid_index.append(b)
             tr.win.append(won)
             tr.payment.append(bids[b] if won else 0.0)
-            history.past_values.append(val)
 
-        before = list(learner.p) if kind == "alg1" else (
-            list(learner.v) if kind == "alg2" else None)
+        if state:
+            before = list(getattr(learner, state))
         learner.observe(h)
         eta_t = learner.last_eta
-
-        if checked:
-            after = list(learner.p) if kind == "alg1" else list(learner.v)
-            slack = check_robustness_step(grid, F, before, after, h, eta_t, kind)
-            if slack < -1e-8:
+        if state:
+            slack, phi = check_robustness_step(grid, F, before, getattr(learner, state),
+                                               h, eta_t, kind)
+            if not slack >= -1e-8:  # a NaN slack fails too
                 raise AssertionError(
                     f"per-step robustness inequality violated at t={t}: slack={slack}")
-            if kind == "alg1":
-                phi = potential_euclidean(before, eta_t)
-            else:
-                phi = potential_threshold_revenue(before, F, eta_t)
         else:
-            slack = math.nan
-            phi = math.nan
-
-        history.past_h.append(h)
-        counts[h] += 1
-        util_cum += u
-
+            slack = phi = math.nan
         tr.h_index.append(h)
         tr.eta.append(eta_t)
-        tr.exp_utility.append(u)
-        tr.exp_revenue.append(rev)
         tr.potential.append(phi)
         tr.slack.append(slack)
 
-        if benchmark == "per-round":
-            d_hat = tuple(c / t for c in counts)
-            bench, _ = best_fixed_utility(grid, F, d_hat)
-            bc = bench * t
-        else:
-            bc = math.nan
-        tr.benchmark_cum.append(bc)
-        tr.regret_cum.append(bc - util_cum)
-
+    counts = [0] * (grid.K + 1)
     if benchmark == "final":
-        d_hat = tuple(c / T for c in counts)
-        bench, _ = best_fixed_utility(grid, F, d_hat)
-        cum = 0.0
-        for t in range(T):
-            cum += tr.exp_utility[t]
-            tr.benchmark_cum[t] = bench * (t + 1)
-            tr.regret_cum[t] = bench * (t + 1) - cum
+        for h in tr.h_index:
+            counts[h] += 1
+        bench, _ = best_fixed_utility(grid, F, tuple(c / T for c in counts))
+    util_cum = 0.0
+    for t, (h, u) in enumerate(zip(tr.h_index, tr.exp_utility), start=1):
+        if benchmark == "per-round":
+            counts[h] += 1
+            bench, _ = best_fixed_utility(grid, F, tuple(c / t for c in counts))
+        util_cum += u
+        tr.benchmark_cum.append(bench * t)
+        tr.regret_cum.append(bench * t - util_cum)
     return tr
 
 

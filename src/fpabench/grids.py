@@ -8,7 +8,6 @@ project through the generic oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 _ATOL = 1e-12
@@ -30,18 +29,6 @@ class BidGrid:
         if self.K * self.eps > 1.0 + _ATOL:
             raise ValueError("largest bid K*eps must not exceed 1")
         object.__setattr__(self, "bids", tuple(i * self.eps for i in range(self.K + 1)))
-
-    @property
-    def is_uniform(self) -> bool:
-        return True
-
-    @property
-    def gaps(self) -> tuple[float, ...]:
-        """Spacings b_j - b_{j-1} for j = 1..K."""
-        return (self.eps,) * self.K
-
-    def index_of(self, bid: float, atol: float = 1e-9) -> int:
-        return _index_of(self.bids, bid, atol)
 
 
 @dataclass(frozen=True)
@@ -66,24 +53,5 @@ class IrregularBidGrid:
     def K(self) -> int:
         return len(self.bids) - 1
 
-    @property
-    def is_uniform(self) -> bool:
-        gaps = self.gaps
-        return all(abs(g - gaps[0]) <= _ATOL for g in gaps)
-
-    @property
-    def gaps(self) -> tuple[float, ...]:
-        return tuple(b2 - b1 for b1, b2 in zip(self.bids, self.bids[1:]))
-
-    def index_of(self, bid: float, atol: float = 1e-9) -> int:
-        return _index_of(self.bids, bid, atol)
-
 
 Grid = BidGrid | IrregularBidGrid
-
-
-def _index_of(bids: tuple[float, ...], bid: float, atol: float) -> int:
-    for i, b in enumerate(bids):
-        if math.isclose(b, bid, rel_tol=0.0, abs_tol=atol):
-            return i
-    raise ValueError(f"bid {bid!r} is not on the grid")

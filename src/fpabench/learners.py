@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auction import (
+    CLAMP_TOL,
     check_probabilities,
     check_thresholds,
     thresholds_from_probabilities,
@@ -39,8 +40,8 @@ class FixedStep:
     eta: float
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise ValueError("step size must be positive")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"step size must be positive and finite, got {self.eta}")
 
     def at(self, t: int) -> float:
         return self.eta
@@ -54,8 +55,9 @@ class HarmonicStep:
     dmin: float
 
     def __post_init__(self):
-        if self.fbar <= 0.0 or self.dmin <= 0.0:
-            raise ValueError("fbar and dmin must be positive")
+        if not (0.0 < self.fbar < math.inf and 0.0 < self.dmin < math.inf):
+            raise ValueError(f"fbar and dmin must be positive and finite, "
+                             f"got {self.fbar} and {self.dmin}")
 
     def at(self, t: int) -> float:
         return self.fbar / (self.dmin * t)
@@ -99,7 +101,7 @@ class GradientBidder(Learner):
         self.F = F
         self.policy = policy
         self.p = [0.0] * grid.K if p1 is None else list(p1)
-        check_probabilities(self.p, grid, F)
+        check_probabilities(self.p, grid, F, atol=CLAMP_TOL)
         self.t = 1
         self.last_eta = policy.at(1)
         self.last_diagnostics = None
@@ -134,9 +136,9 @@ class ThresholdBidder(Learner):
         self.grid = grid
         self.eta = eta
         self.v = [1.0] * grid.K if v1 is None else list(v1)
-        check_thresholds(self.v, grid)
-        if eta <= 0.0:
-            raise ValueError("step size must be positive")
+        check_thresholds(self.v, grid, atol=CLAMP_TOL)
+        if not 0.0 < eta < math.inf:
+            raise ValueError(f"step size must be positive and finite, got {eta}")
         self.t = 1
         self.last_eta = eta
         self.last_diagnostics = None
@@ -192,13 +194,13 @@ class LazyRegularizedBidder(Learner):
     kind = "lazyftrl"
 
     def __init__(self, grid: Grid, F: ValueDistribution, eta: float, p1=None):
-        if eta <= 0.0:
-            raise ValueError("step size must be positive")
+        if not 0.0 < eta < math.inf:
+            raise ValueError(f"step size must be positive and finite, got {eta}")
         self.grid = grid
         self.F = F
         self.eta = eta
         self.p1 = [0.0] * grid.K if p1 is None else list(p1)
-        check_probabilities(self.p1, grid, F)
+        check_probabilities(self.p1, grid, F, atol=CLAMP_TOL)
         self.p = list(self.p1)
         self._gsum = [0.0] * grid.K
         self._poly = probability_polytope(grid, F)

@@ -143,9 +143,13 @@ def potential_threshold_revenue(v, F: ValueDistribution, eta: float) -> float:
     return sum(F.survival_integral(vj) for vj in v) / eta
 
 
+# learner kinds check_robustness_step knows, and the state attribute it reads
+ROBUSTNESS_STATE = {"alg1": "p", "alg2": "v"}
+
+
 def check_robustness_step(grid: Grid, F: ValueDistribution, before, after,
-                          h: int, eta: float, kind: str) -> float:
-    """Slack of the per-round seller-revenue inequality.
+                          h: int, eta: float, kind: str) -> tuple[float, float]:
+    """(slack, potential(before)) of the per-round seller-revenue inequality.
 
     The potential drop plus the round's expected revenue must not exceed
     the monopoly revenue plus the algorithm's per-round leakage (eta for
@@ -153,18 +157,19 @@ def check_robustness_step(grid: Grid, F: ValueDistribution, before, after,
     """
     mye = myerson_revenue(F)[0]
     if kind == "alg1":
-        dphi = potential_euclidean(after, eta) - potential_euclidean(before, eta)
+        phi = potential_euclidean(before, eta)
+        dphi = potential_euclidean(after, eta) - phi
         rev = revenue_for_h(grid, before, h)
         bound = mye + eta
     elif kind == "alg2":
-        dphi = (potential_threshold_revenue(after, F, eta)
-                - potential_threshold_revenue(before, F, eta))
+        phi = potential_threshold_revenue(before, F, eta)
+        dphi = potential_threshold_revenue(after, F, eta) - phi
         p = probabilities_from_strategy(grid, F, before)
         rev = revenue_for_h(grid, p, h)
         bound = mye + eta * F.density_bound
     else:
         raise ValueError(f"unknown kind {kind!r} (expected alg1 or alg2)")
-    return bound - (dphi + rev)
+    return bound - (dphi + rev), phi
 
 
 def _step_slack(grid: Grid, before, after, vstar: float, h: int, eta: float,
@@ -227,7 +232,6 @@ class RobustnessReport:
     myerson_total: float
     excess: float
     theoretical_cap: float
-    potential_series: tuple[float, ...]
     min_slack: float
 
 
@@ -245,7 +249,7 @@ def robustness_report(trace, F: ValueDistribution, grid: Grid, kind: str) -> Rob
         raise ValueError(f"unknown kind {kind!r}")
     slacks = [s for s in trace.slack if not math.isnan(s)]
     return RobustnessReport(total_rev, mye_total, total_rev - mye_total, cap,
-                            tuple(trace.potential), min(slacks) if slacks else math.nan)
+                            min(slacks) if slacks else math.nan)
 
 
 def strong_concavity_modulus(F: ValueDistribution, d) -> float:

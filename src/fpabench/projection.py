@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .auction import (
+    CLAMP_TOL,
     check_probabilities,
     check_thresholds,
     clamp_probabilities,
@@ -43,8 +44,8 @@ class ProjectionDiagnostics(NamedTuple):
 def _step_size(grid: Grid, i: int, eta: float) -> float:
     if not isinstance(grid, BidGrid):
         raise TypeError("closed-form updates require a uniform bid grid")
-    if eta <= 0.0:
-        raise ValueError("step size eta must be positive")
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"step size eta must be positive and finite, got {eta}")
     if not (0 <= i <= grid.K):
         raise ValueError(f"competing-bid index {i} outside 0..{grid.K}")
     return eta * grid.eps
@@ -96,7 +97,7 @@ def ga_step_probabilities(grid: Grid, F: ValueDistribution, p, i: int, eta: floa
     step on -p, which is non-decreasing with floor -(1 - F(b_i)) at i.
     """
     step = _step_size(grid, i, eta)
-    check_probabilities(p, grid, F)
+    check_probabilities(p, grid, F, atol=CLAMP_TOL)
     b = grid.bids[i]
     g = eta * threshold_margin(F, p[i - 1], b) if i else 0.0
     floor = -(1.0 - F.cdf(b)) if i else 0.0
@@ -112,7 +113,7 @@ def ga_step_thresholds(grid: Grid, v, i: int, eta: float):
     value distribution.
     """
     step = _step_size(grid, i, eta)
-    check_thresholds(v, grid)
+    check_thresholds(v, grid, atol=CLAMP_TOL)
     b = grid.bids[i]
     g = eta * (v[i - 1] - b) if i else 0.0
     out, m, ell, x = _chain_step(v, i, g, step, b, 1.0)
@@ -147,15 +148,16 @@ class ChainPolytope:
                 raise ValueError("infeasible chain: no monotone point in the box")
 
     def contains(self, x, atol: float = 1e-9) -> bool:
+        """Membership up to atol; a NaN coordinate is never inside."""
         n = len(x)
         if n != len(self.lower):
             return False
         for j in range(n):
-            if x[j] < self.lower[j] - atol or x[j] > self.upper[j] + atol:
+            if not self.lower[j] - atol <= x[j] <= self.upper[j] + atol:
                 return False
         for j in range(n - 1):
             gap = x[j + 1] - x[j] if self.increasing else x[j] - x[j + 1]
-            if gap < -atol:
+            if not gap >= -atol:
                 return False
         return True
 
@@ -183,6 +185,8 @@ def project_oracle(poly: ChainPolytope, q):
     q = [float(t) for t in q]
     if len(q) != len(poly.lower):
         raise ValueError("dimension mismatch")
+    if not all(map(math.isfinite, q)):
+        raise ValueError(f"cannot project a non-finite point {q}")
     if poly.increasing:
         x = _project_increasing(q, poly.lower, poly.upper)
     else:

@@ -70,7 +70,7 @@ class BucketStrategy(Strategy):
     """Piecewise-constant strategy on equal-width value buckets.
 
     Unlike threshold strategies the bucket table may be non-monotone in
-    the value; ``is_monotone`` flags whether a threshold view exists.
+    the value.
     """
 
     grid: Grid
@@ -86,22 +86,6 @@ class BucketStrategy(Strategy):
 
     def breakpoints(self):
         return [b / self.buckets for b in range(1, self.buckets)]
-
-    @property
-    def is_monotone(self) -> bool:
-        seq = self.bids_per_bucket
-        return all(a <= b for a, b in zip(seq, seq[1:]))
-
-    def as_thresholds(self):
-        """Threshold view (bucket edges) when the table is monotone, else None."""
-        if not self.is_monotone:
-            return None
-        B = self.buckets
-        v = []
-        for i in range(1, self.grid.K + 1):
-            nxt = next((b for b, j in enumerate(self.bids_per_bucket) if j >= i), None)
-            v.append(1.0 if nxt is None else nxt / B)
-        return v
 
     def exact_utility(self, F: ValueDistribution, h: int) -> float:
         df, ev = _bucket_tables(F, self.buckets)

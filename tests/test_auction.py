@@ -234,3 +234,20 @@ def test_feasibility_checks_raise():
         check_thresholds([0.8, 0.6], GRID2)  # not increasing
     with pytest.raises(ValueError):
         check_thresholds([0.1, 0.6], GRID2)  # below bid
+
+
+def test_feasibility_checks_reject_nan():
+    with pytest.raises(ValueError):
+        check_probabilities([float("nan"), 0.2], GRID2, Uniform())
+    with pytest.raises(ValueError):
+        check_probabilities([0.5, float("nan")], GRID2, Uniform())
+    with pytest.raises(ValueError):
+        check_thresholds([0.5, float("nan")], GRID2)
+    with pytest.raises(ValueError):
+        check_thresholds([float("nan"), 0.6], GRID2)
+
+
+@pytest.mark.parametrize("i", [-1, 3])
+def test_utility_gradient_rejects_index_off_the_grid(i):
+    with pytest.raises(ValueError, match=f"competing-bid index {i} outside 0..2"):
+        utility_gradient(GRID2, Uniform(), [0.5, 0.2], i)

@@ -272,3 +272,14 @@ def test_cli_run_rejects_non_integral_or_negative_config_values(tmp_path, capsys
 def test_parse_config_accepts_integral_floats():
     cfg = parse_config(MINIMAL.replace("K: 2,", "K: 2.0,").replace("T: 10000", "T: 50.0"))
     assert cfg.grid == BidGrid(2, 0.25) and cfg.T == 50
+
+
+@pytest.mark.parametrize("learner", ["lazyftrl(eta=nan)", "alg1(eta=nan)", "alg2(eta=inf)",
+                                     "alg1(harmonic, fbar=nan, dmin=0.1)"])
+def test_cli_run_rejects_non_finite_step_size(tmp_path, capsys, learner):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL.replace("alg2(eta=0.01)", learner).replace("T: 10000", "T: 50"))
+    assert cli_main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: learner:")
+    assert "positive and finite" in err[0]

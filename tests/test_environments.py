@@ -21,6 +21,8 @@ from fpabench.learners import (
     FixedStep,
     FixedStrategyBidder,
     GradientBidder,
+    LazyRegularizedBidder,
+    MeanBasedBucketBidder,
     ThresholdBidder,
 )
 from fpabench.rng import ADVERSARY, stream_rng
@@ -242,3 +244,15 @@ def test_multi_buyer_rejects_a_short_reserve_sequence_before_the_first_round():
         run_multi_buyer(g, [Uniform()] * 3, learners, [4] * 99, 100, seed=7)
     # no learner moved: the run stopped before its first round
     assert all(lrn.t == 1 for lrn in learners)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MeanBasedBucketBidder(GRID),
+    lambda: LazyRegularizedBidder(GRID, Uniform(), 0.05),
+    lambda: GradientBidder(GRID, Uniform(), FixedStep(0.05)),
+], ids=["ftl", "lazyftrl", "alg1"])
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_adversary_h_off_the_grid_is_rejected(make, bad):
+    adv = AdaptiveCompetition(lambda t, history: 1 if t == 1 else bad)
+    with pytest.raises(ValueError, match=f"h={bad} at t=2"):
+        run_single_buyer(GRID, Uniform(), make(), adv, 5)

@@ -19,14 +19,9 @@ def test_uniform_grid_validation():
         BidGrid(5, 0.25)  # 5 * 0.25 > 1
 
 
-def test_gaps_and_uniform_flag():
-    g = BidGrid(3, 0.25)
-    assert g.gaps == (0.25, 0.25, 0.25)
-    assert g.is_uniform
+def test_irregular_grid_size():
     ig = IrregularBidGrid((0.0, 0.1, 0.4, 0.45))
-    assert not ig.is_uniform
     assert ig.K == 3
-    assert ig.gaps == pytest.approx((0.1, 0.3, 0.05))
 
 
 def test_irregular_grid_requires_strict_increase_from_zero():
@@ -36,8 +31,3 @@ def test_irregular_grid_requires_strict_increase_from_zero():
         IrregularBidGrid((0.0, 0.3, 0.3))
     with pytest.raises(ValueError):
         IrregularBidGrid((0.0, 0.5, 1.5))
-
-
-def test_index_of_exact_bids():
-    g = BidGrid(4, 0.25)
-    assert [g.index_of(b) for b in g.bids] == [0, 1, 2, 3, 4]

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import make_rng
@@ -175,3 +177,32 @@ def test_threshold_bidder_rejects_irregular_grid():
 
     with pytest.raises(TypeError):
         ThresholdBidder(IrregularBidGrid((0.0, 0.3)), 0.1)
+
+
+@pytest.mark.parametrize("eta", [float("nan"), math.inf, -math.inf])
+def test_step_sizes_must_be_finite(eta):
+    grid = BidGrid(2, 0.25)
+    with pytest.raises(ValueError, match="positive and finite"):
+        FixedStep(eta)
+    with pytest.raises(ValueError, match="positive and finite"):
+        HarmonicStep(eta, 0.1)
+    with pytest.raises(ValueError, match="positive and finite"):
+        HarmonicStep(1.0, eta)
+    with pytest.raises(ValueError, match="positive and finite"):
+        ThresholdBidder(grid, eta)
+    with pytest.raises(ValueError, match="positive and finite"):
+        LazyRegularizedBidder(grid, Uniform(), eta)
+
+
+def test_start_points_are_checked_at_the_clamp_tolerance():
+    grid = BidGrid(2, 0.25)
+    with pytest.raises(ValueError, match="p_1"):
+        GradientBidder(grid, Uniform(), FixedStep(0.01), p1=[0.7500000005, 0.2])
+    with pytest.raises(ValueError, match="v_1"):
+        ThresholdBidder(grid, 0.01, v1=[0.2499999995, 0.6])
+    with pytest.raises(ValueError, match="p_1"):
+        LazyRegularizedBidder(grid, Uniform(), 0.01, p1=[0.7500000005, 0.2])
+    # a start point exactly on the caps still steps
+    lrn = GradientBidder(grid, Uniform(), FixedStep(0.01), p1=[0.75, 0.5])
+    lrn.observe(2)
+    ThresholdBidder(grid, 0.01, v1=[0.25, 0.6]).observe(2)

@@ -73,14 +73,15 @@ def test_potential_threshold_revenue_values():
 
 
 def test_robustness_step_frozen_slack():
-    slack = check_robustness_step(GRID2, Uniform(), [0.40, 0.35], [0.45, 0.45],
-                                  2, 1.0, "alg1")
+    slack, phi = check_robustness_step(GRID2, Uniform(), [0.40, 0.35], [0.45, 0.45],
+                                       2, 1.0, "alg1")
     assert slack == pytest.approx(1.01375, abs=1e-9)
+    assert phi == potential_euclidean([0.40, 0.35], 1.0)
 
 
 def test_robustness_step_stationary_round():
     p = [0.5, 0.0]
-    slack = check_robustness_step(GRID2, Uniform(), p, p, 2, 0.3, "alg1")
+    slack, _ = check_robustness_step(GRID2, Uniform(), p, p, 2, 0.3, "alg1")
     assert slack == pytest.approx(0.25 + 0.3, abs=1e-12)
     with pytest.raises(ValueError):
         check_robustness_step(GRID2, Uniform(), p, p, 2, 0.3, "ftl")

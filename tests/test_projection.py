@@ -495,3 +495,29 @@ def test_chain_step_bit_identical_to_former_closed_forms():
             steps += 2
     assert steps >= 100_000
     assert negative > 0  # the kink where the former gain went negative is hit
+
+
+def test_nan_is_never_inside_and_never_projected():
+    poly = probability_polytope(BidGrid(3, 0.25), Uniform())
+    assert not poly.contains([float("nan"), 0.2, 0.1])
+    assert not threshold_polytope(GRID2).contains([0.5, float("nan")])
+    for bad in (float("nan"), math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            project_oracle(poly, [bad, 0.3, 0.1])
+
+
+@pytest.mark.parametrize("eta", [float("nan"), math.inf, 0.0, -0.1])
+def test_closed_form_steps_reject_bad_eta(eta):
+    with pytest.raises(ValueError, match="positive and finite"):
+        ga_step_probabilities(GRID2, Uniform(), [0.4, 0.3], 1, eta)
+    with pytest.raises(ValueError, match="positive and finite"):
+        ga_step_thresholds(GRID2, [0.5, 0.6], 1, eta)
+
+
+def test_steps_check_their_input_at_the_clamp_tolerance():
+    # 5e-10 outside the polytope passes the default 1e-9 feasibility check
+    # but is more than the clamp accepts, so the step rejects it up front
+    with pytest.raises(ValueError, match="p_1"):
+        ga_step_probabilities(GRID2, Uniform(), [0.7500000005, 0.2], 2, 0.01)
+    with pytest.raises(ValueError, match="v_1"):
+        ga_step_thresholds(GRID2, [0.2499999995, 0.6], 2, 0.01)

@@ -47,16 +47,11 @@ def test_threshold_strategy_exact_matches_sampling():
         assert s.exact_revenue(F, h) == pytest.approx(mean, abs=3.5 * se + 1e-9)
 
 
-def test_bucket_strategy_lookup_and_monotone_view():
+def test_bucket_strategy_lookup():
     s = BucketStrategy(GRID2, (0, 0, 1, 2))
     assert s.bid_index(0.1) == 0
     assert s.bid_index(0.6) == 1
     assert s.bid_index(0.9) == 2
-    assert s.is_monotone
-    assert s.as_thresholds() == pytest.approx([0.5, 0.75])
-    t = BucketStrategy(GRID2, (0, 2, 1, 2))
-    assert not t.is_monotone
-    assert t.as_thresholds() is None
 
 
 def test_bucket_strategy_exact_matches_sampling():
