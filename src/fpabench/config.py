@@ -175,6 +175,8 @@ def _build_learner(spec: str, grid: Grid, F: ValueDistribution, T: int):
     name, pos, kw = _call(spec)
     if name == "alg1":
         if pos == ["harmonic"]:
+            if not {"fbar", "dmin"} <= set(kw):
+                raise ValueError("alg1(harmonic) needs fbar=... and dmin=...")
             policy = HarmonicStep(float(kw.pop("fbar")), float(kw.pop("dmin")))
         elif pos:
             raise ValueError(f"unexpected alg1 arguments {pos}")

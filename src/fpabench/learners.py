@@ -225,6 +225,8 @@ class MisreportingBidder(Learner):
     kind = "misreport"
 
     def __init__(self, inner: Learner, report: MisreportMap):
+        if isinstance(inner, MisreportingBidder):  # its truthful twin would misreport
+            raise ValueError("misreporting bidders do not nest; compose the maps instead")
         self.inner = inner
         self.report = report
         self.grid = inner.grid

@@ -226,6 +226,17 @@ def ic_gap(trace_truthful, trace_misreport) -> float:
     return float(sum(trace_misreport.exp_utility) - sum(trace_truthful.exp_utility))
 
 
+def guarantee_caps(K: int, T: int, fbar: float) -> dict:
+    """The paper's caps at horizon T: regret, revenue excess and IC gap."""
+    return {
+        "regret_cap_alg1": 2.0 * math.sqrt(2.0 * K) * math.sqrt(T),
+        "regret_cap_alg2": 7.0 * math.sqrt(fbar) * K * math.sqrt(T),
+        "revenue_excess_cap_alg1": math.sqrt(2.0 * K * T),
+        "revenue_excess_cap_alg2": 2.0 * math.sqrt(fbar) * K * math.sqrt(T),
+        "ic_gap_cap_alg2": 8.0 * K * math.sqrt(fbar) * math.sqrt(T),
+    }
+
+
 @dataclass(frozen=True)
 class RobustnessReport:
     total_revenue: float
@@ -239,13 +250,8 @@ def robustness_report(trace, F: ValueDistribution, grid: Grid, kind: str) -> Rob
     T = len(trace.h_index)
     total_rev = float(sum(trace.exp_revenue))
     mye_total = myerson_revenue(F)[0] * T
-    fbar = F.density_bound
-    K = grid.K
-    if kind == "alg1":
-        cap = math.sqrt(2.0 * K * T)
-    elif kind == "alg2":
-        cap = 2.0 * math.sqrt(fbar) * K * math.sqrt(T)
-    else:
+    cap = guarantee_caps(grid.K, T, F.density_bound).get(f"revenue_excess_cap_{kind}")
+    if cap is None:
         raise ValueError(f"unknown kind {kind!r}")
     slacks = [s for s in trace.slack if not math.isnan(s)]
     return RobustnessReport(total_rev, mye_total, total_rev - mye_total, cap,

@@ -9,7 +9,7 @@ regret and robustness measurements noise-free.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .auction import bid_for_value, probabilities_from_strategy, revenue_for_h, utility_for_h
@@ -18,11 +18,9 @@ from .grids import Grid
 
 
 class Strategy:
-    def bid_index(self, value: float) -> int:
-        raise NotImplementedError
+    """Value -> bid index; ``edges`` are the values where the bid may change."""
 
-    def breakpoints(self):
-        """Sorted values where the bid index may change."""
+    def bid_index(self, value: float) -> int:
         raise NotImplementedError
 
     def exact_utility(self, F: ValueDistribution, h: int) -> float:
@@ -39,11 +37,12 @@ class ThresholdStrategy(Strategy):
     grid: Grid
     thresholds: tuple[float, ...]
 
+    @property
+    def edges(self) -> tuple[float, ...]:
+        return self.thresholds
+
     def bid_index(self, value: float) -> int:
         return bid_for_value(self.thresholds, value)
-
-    def breakpoints(self):
-        return list(self.thresholds)
 
     def exact_utility(self, F: ValueDistribution, h: int) -> float:
         p = probabilities_from_strategy(self.grid, F, self.thresholds)
@@ -54,24 +53,55 @@ class ThresholdStrategy(Strategy):
         return revenue_for_h(self.grid, p, h)
 
 
-@lru_cache(maxsize=32)
-def _bucket_tables(F: ValueDistribution, buckets: int):
-    """Per-bucket mass and conditional value mass: dF_b and E[V 1(V in bucket)]."""
-    edges = [b / buckets for b in range(buckets + 1)]
-    cdf = [F.cdf(e) for e in edges]
+@lru_cache(maxsize=64)
+def piece_masses(F: ValueDistribution, edges: tuple[float, ...]):
+    """dF and E[V 1(V in piece)] of each piece of [0, 1] cut at the interior edges."""
+    cdf = [F.cdf(c) for c in (0.0,) + edges + (1.0,)]
     tail = [F.quantile_tail_integral(c) for c in cdf]
-    df = [cdf[b + 1] - cdf[b] for b in range(buckets)]
-    ev = [tail[b] - tail[b + 1] for b in range(buckets)]
-    return df, ev
+    return (tuple([b - a for a, b in zip(cdf, cdf[1:])]),
+            tuple([a - b for a, b in zip(tail, tail[1:])]))
+
+
+class PiecewiseStrategy(Strategy):
+    """Bid ``piece_bids[b]`` on the b-th piece of [0, 1] cut at ``edges``;
+    exact accounting is one pass over the cached piece masses."""
+
+    def masses(self, F: ValueDistribution):
+        return piece_masses(F, self.edges)
+
+    def exact_utility(self, F: ValueDistribution, h: int) -> float:
+        df, ev = self.masses(F)
+        bids = self.grid.bids
+        total = 0.0
+        for j, mass, value_mass in zip(self.piece_bids, df, ev):
+            if j >= h:
+                total += value_mass - bids[j] * mass
+        return total
+
+    def exact_revenue(self, F: ValueDistribution, h: int) -> float:
+        df, _ = self.masses(F)
+        bids = self.grid.bids
+        total = 0.0
+        for j, mass in zip(self.piece_bids, df):
+            if j >= h:
+                total += bids[j] * mass
+        return total
+
+
+@lru_cache(maxsize=32)
+def _bucket_edges(buckets: int) -> tuple[float, ...]:
+    return tuple(b / buckets for b in range(1, buckets))
+
+
+@lru_cache(maxsize=32)
+def _bucket_masses(F: ValueDistribution, buckets: int):
+    # keyed on the count: hashing the edge tuple every round costs more
+    return piece_masses(F, _bucket_edges(buckets))
 
 
 @dataclass(frozen=True)
-class BucketStrategy(Strategy):
-    """Piecewise-constant strategy on equal-width value buckets.
-
-    Unlike threshold strategies the bucket table may be non-monotone in
-    the value.
-    """
+class BucketStrategy(PiecewiseStrategy):
+    """Bid per equal-width value bucket; unlike thresholds, possibly non-monotone."""
 
     grid: Grid
     bids_per_bucket: tuple[int, ...]
@@ -80,30 +110,20 @@ class BucketStrategy(Strategy):
     def buckets(self) -> int:
         return len(self.bids_per_bucket)
 
+    @property
+    def edges(self) -> tuple[float, ...]:
+        return _bucket_edges(self.buckets)
+
+    @property
+    def piece_bids(self) -> tuple[int, ...]:
+        return self.bids_per_bucket
+
+    def masses(self, F: ValueDistribution):
+        return _bucket_masses(F, self.buckets)
+
     def bid_index(self, value: float) -> int:
-        b = min(int(value * self.buckets), self.buckets - 1)
-        return self.bids_per_bucket[max(b, 0)]
-
-    def breakpoints(self):
-        return [b / self.buckets for b in range(1, self.buckets)]
-
-    def exact_utility(self, F: ValueDistribution, h: int) -> float:
-        df, ev = _bucket_tables(F, self.buckets)
-        bids = self.grid.bids
-        total = 0.0
-        for b, j in enumerate(self.bids_per_bucket):
-            if j >= h:
-                total += ev[b] - bids[j] * df[b]
-        return total
-
-    def exact_revenue(self, F: ValueDistribution, h: int) -> float:
-        df, _ = _bucket_tables(F, self.buckets)
-        bids = self.grid.bids
-        total = 0.0
-        for b, j in enumerate(self.bids_per_bucket):
-            if j >= h:
-                total += bids[j] * df[b]
-        return total
+        n = len(self.bids_per_bucket)
+        return self.bids_per_bucket[max(min(int(value * n), n - 1), 0)]
 
 
 @dataclass(frozen=True)
@@ -147,64 +167,42 @@ class MisreportMap:
         t = (v - xs[k]) / (xs[k + 1] - xs[k])
         return ys[k] + t * (ys[k + 1] - ys[k])
 
-    def segments(self):
-        """Non-degenerate (x_lo, x_hi, y_lo, y_hi) pieces."""
-        out = []
-        for k in range(len(self.xs) - 1):
-            if self.xs[k + 1] > self.xs[k]:
-                out.append((self.xs[k], self.xs[k + 1], self.ys[k], self.ys[k + 1]))
-        return out
+
+@lru_cache(maxsize=64)
+def _pull_back(report: MisreportMap, edges: tuple[float, ...]):
+    """Interior cuts of [0, 1] where report(v) has a knot or reaches an edge,
+    and the reported value at each piece's midpoint."""
+    xs, ys = report.xs, report.ys
+    pts = set(xs)
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        if x1 == x0 or y1 == y0:
+            continue
+        slope = (y1 - y0) / (x1 - x0)
+        lo, hi = min(y0, y1), max(y0, y1)
+        for w in edges:
+            if lo < w <= hi:
+                pts.add(x0 + (w - y0) / slope)
+    cuts = tuple(sorted([t for t in pts if 0.0 < t < 1.0]))
+    bounds = (0.0,) + cuts + (1.0,)
+    return cuts, tuple([report(0.5 * (a + c)) for a, c in zip(bounds, bounds[1:])])
 
 
 @dataclass(frozen=True)
-class ComposedStrategy(Strategy):
-    """Inner strategy fed with misreported values: bid(v) = inner(M(v))."""
+class ComposedStrategy(PiecewiseStrategy):
+    """bid(v) = inner(M(v)): the inner edges pulled back through M cut the
+    pieces, each bidding inner's bid at its reported midpoint."""
 
     inner: Strategy
     report: MisreportMap
+    grid: Grid = field(init=False, repr=False, compare=False)
+    edges: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    piece_bids: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def grid(self) -> Grid:
-        return self.inner.grid
+    def __post_init__(self):
+        edges, mids = _pull_back(self.report, self.inner.edges)
+        object.__setattr__(self, "grid", self.inner.grid)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "piece_bids", tuple(map(self.inner.bid_index, mids)))
 
     def bid_index(self, value: float) -> int:
         return self.inner.bid_index(self.report(value))
-
-    def breakpoints(self):
-        pts = set(self.report.xs)
-        inner_bp = self.inner.breakpoints()
-        for x0, x1, y0, y1 in self.report.segments():
-            if y1 == y0:
-                continue
-            slope = (y1 - y0) / (x1 - x0)
-            lo, hi = min(y0, y1), max(y0, y1)
-            for w in inner_bp:
-                if lo < w <= hi:
-                    pts.add(x0 + (w - y0) / slope)
-        return sorted(t for t in pts if 0.0 < t < 1.0)
-
-    def _pieces(self):
-        cuts = [0.0] + self.breakpoints() + [1.0]
-        out = []
-        for a, c in zip(cuts, cuts[1:]):
-            if c > a:
-                out.append((a, c, self.bid_index(0.5 * (a + c))))
-        return out
-
-    def exact_utility(self, F: ValueDistribution, h: int) -> float:
-        bids = self.grid.bids
-        total = 0.0
-        for a, c, j in self._pieces():
-            if j >= h:
-                fa, fc = F.cdf(a), F.cdf(c)
-                ev = F.quantile_tail_integral(fa) - F.quantile_tail_integral(fc)
-                total += ev - bids[j] * (fc - fa)
-        return total
-
-    def exact_revenue(self, F: ValueDistribution, h: int) -> float:
-        bids = self.grid.bids
-        total = 0.0
-        for a, c, j in self._pieces():
-            if j >= h:
-                total += bids[j] * (F.cdf(c) - F.cdf(a))
-        return total

@@ -7,7 +7,7 @@ import pytest
 from fpabench.cli import main as cli_main
 from fpabench.config import ConfigError, parse_config, parse_misreport_table
 from fpabench.distributions import EqualRevenue, Uniform
-from fpabench.environments import DecreasingReserve, StochasticCompetition
+from fpabench.environments import DecreasingReserve, StochasticCompetition, run_single_buyer
 from fpabench.grids import BidGrid, IrregularBidGrid
 from fpabench.learners import GradientBidder, ThresholdBidder
 from fpabench.verify import SUITES
@@ -141,6 +141,35 @@ def test_cli_run_is_byte_deterministic(tmp_path):
     assert (out1 / "trace_rep0.csv").read_bytes() == (out2 / "trace_rep0.csv").read_bytes()
 
 
+def test_cli_misreport_twin_skips_the_prefix_benchmark(tmp_path, monkeypatch):
+    import fpabench.cli as cli
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs["benchmark"])
+        return run_single_buyer(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_single_buyer", recording)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL.replace("alg2(eta=0.01)", "misreport(alg2, map=0:0;1:0.5)")
+                   .replace("T: 10000", "T: 50"))
+    assert cli_main(["run", "--config", str(cfg)]) == 0
+    # the misreporting run keeps the config's benchmark; its truthful twin
+    # feeds only ic_gap, which reads no benchmark column
+    assert calls == ["per-round", "final"]
+
+
+def test_cli_bounds_come_from_the_metrics_cap_table(tmp_path):
+    from fpabench.metrics import guarantee_caps
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL.replace("T: 10000", "T: 50"))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    bounds = json.loads((out / "summary.json").read_text())["replications"][0]["bounds"]
+    assert list(bounds) == list(guarantee_caps(2, 50, 1.0)) + ["myerson_per_round"]
+    assert {k: bounds[k] for k in guarantee_caps(2, 50, 1.0)} == guarantee_caps(2, 50, 1.0)
+
+
 # three sampled replications, so a three-worker run uses the process pool
 THREE_REPS = MINIMAL.replace("T: 10000", "T: 200") + "mode: sampled\nreplications: 3\n"
 
@@ -259,7 +288,12 @@ def test_cli_run_rejects_bad_seed_or_reps(tmp_path, capsys, flags, needle):
     ("K: 2,", "K: 4.9,", "K: not an integer: 4.9"),
     ("T: 10000", "T: 50.9", "T: not an integer: 50.9"),
     ("T: 10000", "T: 50\nreplications: 2.5", "replications: not an integer: 2.5"),
-], ids=["seed", "K", "T", "replications"])
+    ("alg2(eta=0.01)", "alg1(harmonic, fbar=1)", "learner: alg1(harmonic) needs fbar"),
+    ("alg2(eta=0.01)", "alg1(harmonic)", "learner: alg1(harmonic) needs fbar"),
+    ("alg2(eta=0.01)", "misreport(misreport(alg2, map=0:0;1:0.5), map=0:0;1:1)",
+     "learner: misreporting bidders do not nest"),
+], ids=["seed", "K", "T", "replications", "harmonic-no-dmin", "harmonic-no-fbar-dmin",
+        "nested-misreport"])
 def test_cli_run_rejects_non_integral_or_negative_config_values(tmp_path, capsys,
                                                                old, new, needle):
     cfg = tmp_path / "cfg.yaml"

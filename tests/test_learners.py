@@ -161,6 +161,13 @@ def test_misreport_identity_is_transparent():
         wrapped.observe(int(h))
 
 
+def test_misreporting_bidders_do_not_nest():
+    g = BidGrid(2, 0.125)
+    M = MisreportMap((0.0, 0.5, 0.5, 1.0), (0.0, 0.5, 0.25, 0.25))
+    with pytest.raises(ValueError, match="do not nest"):
+        MisreportingBidder(MisreportingBidder(ThresholdBidder(g, 0.02), M), M)
+
+
 def test_gradient_bidder_oracle_path_on_irregular_grid():
     from fpabench.grids import IrregularBidGrid
 

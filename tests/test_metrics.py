@@ -185,3 +185,17 @@ def test_robustness_report_totals():
     assert rep.min_slack >= -1e-8
     assert rep.theoretical_cap == pytest.approx(
         2.0 * math.sqrt(8.0) * 2 * math.sqrt(400), abs=1e-9)
+
+
+def test_robustness_report_reads_the_cap_table():
+    from fpabench.metrics import guarantee_caps
+    g = BidGrid(2, 0.125)
+    F = EqualRevenue(0.1)
+    tr = run_single_buyer(g, F, ThresholdBidder(g, 0.02),
+                          StochasticCompetition((0.2, 0.4, 0.4)), 100, benchmark="final")
+    caps = guarantee_caps(2, 100, F.density_bound)
+    for kind in ("alg1", "alg2"):
+        assert (robustness_report(tr, F, g, kind).theoretical_cap
+                == caps[f"revenue_excess_cap_{kind}"])
+    with pytest.raises(ValueError, match="unknown kind"):
+        robustness_report(tr, F, g, "ftl")
