@@ -177,41 +177,32 @@ def single_shot_best_response(grid: Grid, d):
     The per-value payoff of bid b_j is the line (value - b_j) * D_j with
     D_j = P(win with b_j) = d_0 + ... + d_j; the best response follows the
     upper envelope of these lines, breaking ties toward the smaller bid.
+    One upper-hull pass keeps (j, D_j, start of its value range); threshold
+    i is the start of the first hull bid j >= i, or 1 when there is none.
     """
     bids = grid.bids
-    K = grid.K
-    # cumulative win probabilities; drop repeated slopes, keeping the
-    # smallest bid (which weakly dominates and wins ties)
-    lines = []  # (j, D_j), strictly increasing D_j
-    acc = 0.0
+    hull = []  # (j, D_j, start), D_j strictly increasing
+    acc = last = 0.0
     for j, dj in enumerate(d):
         acc += dj
-        if not lines or acc > lines[-1][1]:
-            lines.append((j, acc))
-    # upper envelope scan; stack entries are (bid index, start of its range)
-    stack = [(lines[0][0], 0.0)]
-    slopes = dict(lines)
-    for j, Dj in lines[1:]:
-        x = 0.0
-        while stack:
-            jt, vt = stack[-1]
-            Dt = slopes[jt]
-            x = (bids[j] * Dj - bids[jt] * Dt) / (Dj - Dt)
-            if x <= vt:
-                stack.pop()
+        if j and not acc > last:
+            continue  # a repeated slope keeps the smaller bid, which wins ties
+        last = acc
+        while hull:
+            jt, Dt, xt = hull[-1]
+            x = (bids[j] * acc - bids[jt] * Dt) / (acc - Dt)
+            if x <= xt:
+                hull.pop()
             else:
                 break
-        if not stack:
-            stack.append((j, 0.0))
+        if not hull:
+            hull.append((j, acc, 0.0))
         elif x < 1.0:
-            stack.append((j, x))
-    # threshold i = where the envelope first uses a bid index >= i
+            hull.append((j, acc, x))
     v = []
-    starts = {j: x for j, x in stack}
-    used = sorted(starts)
-    for i in range(1, K + 1):
-        nxt = next((j for j in used if j >= i), None)
-        v.append(1.0 if nxt is None else starts[nxt])
+    for j, _, x in hull:
+        v.extend([x] * (j - len(v)))
+    v.extend([1.0] * (grid.K - len(v)))
     return clamp_thresholds(v, grid)
 
 

@@ -20,7 +20,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, parse_config, seed_error
+from .config import ConfigError, ExperimentConfig, check_adversary, parse_config, seed_error
 from .environments import run_single_buyer
 from .learners import MisreportingBidder
 from .metrics import guarantee_caps, ic_gap, myerson_revenue, pseudo_regret
@@ -81,9 +81,10 @@ def _run_replication(cfg: ExperimentConfig, rep: int):
                              check_steps=cfg.checks, benchmark=cfg.benchmark)
     gap = None
     if isinstance(learner, MisreportingBidder):
-        # the truthful twin feeds only ic_gap, which reads no benchmark column
+        # the truthful twin feeds only ic_gap, which reads h_index and
+        # exp_utility: no benchmark column and no sampled draw
         base = run_single_buyer(cfg.grid, cfg.dist, cfg.make_learner().inner,
-                                cfg.make_adversary(), cfg.T, mode=cfg.mode,
+                                cfg.make_adversary(), cfg.T, mode="exact",
                                 seed=seed, check_steps=False, benchmark="final")
         gap = ic_gap(base, trace)
     wall = time.perf_counter() - t0
@@ -210,6 +211,12 @@ def _cmd_sweep(args) -> int:
     base = _parse_file(args.config)
     if base is None:
         return 1
+    for T in points:
+        try:
+            check_adversary(base.adversary_spec, base.grid.K, T)
+        except (ValueError, OSError) as exc:
+            print(f"config error at T={T}: adversary: {exc}", file=sys.stderr)
+            return 1
     lines = ["T,regret,revenue_excess,ic_gap,min_slack,wall_time_s"]
     print(lines[0])
     for T in points:

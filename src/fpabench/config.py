@@ -32,6 +32,7 @@ from .learners import (
     default_eta_known_f,
     default_eta_threshold,
 )
+from .rng import ADVERSARY, stream_rng
 from .strategies import MisreportMap
 
 
@@ -68,7 +69,7 @@ class ExperimentConfig:
         return _build_learner(self.learner_spec, self.grid, self.dist, self.T)
 
     def make_adversary(self) -> Adversary:
-        return _build_adversary(self.adversary_spec, self.grid.K)
+        return _build_adversary(self.adversary_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +212,19 @@ def _build_learner(spec: str, grid: Grid, F: ValueDistribution, T: int):
     raise ValueError(f"unknown learner {name!r}")
 
 
-def _build_adversary(spec: str, K: int) -> Adversary:
+def check_adversary(spec: str, K: int, T: int) -> None:
+    """Build the adversary and prepare it for horizon T, so that what its
+    own ``prepare`` rejects (a short or off-grid sequence, a weight vector
+    of the wrong length, a reserve off the grid) raises here, not in a run."""
+    _build_adversary(spec).prepare(T, K, stream_rng(0, ADVERSARY))
+
+
+def _build_adversary(spec: str) -> Adversary:
     name, pos, kw = _call(spec)
     if kw:
         raise ValueError(f"adversary {name} takes positional arguments only")
     if name == "stochastic":
-        d = [float(x) for x in pos]
-        if len(d) != K + 1:
-            raise ValueError(f"stochastic wants K+1={K + 1} weights, got {len(d)}")
-        return StochasticCompetition(d)
+        return StochasticCompetition([float(x) for x in pos])
     if name == "seq":
         if len(pos) != 1:
             raise ValueError("seq wants one file path")
@@ -229,10 +234,7 @@ def _build_adversary(spec: str, K: int) -> Adversary:
     if name == "decreasing":
         if len(pos) != 3:
             raise ValueError("decreasing wants (tswitch, hi, lo)")
-        sw, hi, lo = int(pos[0]), int(pos[1]), int(pos[2])
-        if not (0 <= lo <= K and 0 <= hi <= K):
-            raise ValueError(f"decreasing reserve index out of range 0..{K}")
-        return DecreasingReserve(sw, hi, lo)
+        return DecreasingReserve(int(pos[0]), int(pos[1]), int(pos[2]))
     if name == "lowerbound":
         if pos:
             raise ValueError("lowerbound takes no arguments")
@@ -334,7 +336,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 errors.append(f"learner: {exc}")
         if "adversary" in data:
             try:
-                _build_adversary(adversary_spec, grid.K)
+                check_adversary(adversary_spec, grid.K, T)
             except (ValueError, OSError) as exc:
                 errors.append(f"adversary: {exc}")
 

@@ -195,9 +195,9 @@ class PiecewiseLinearCDF(ValueDistribution):
             raise ValueError("need matching x/y knot lists with >= 2 knots")
         if xs[0] != 0.0 or ys[0] != 0.0 or xs[-1] != 1.0 or ys[-1] != 1.0:
             raise ValueError("knots must run from (0,0) to (1,1)")
-        if any(x2 - x1 <= 0 for x1, x2 in zip(xs, xs[1:])):
+        if not all(x2 > x1 for x1, x2 in zip(xs, xs[1:])):  # NaN fails
             raise ValueError("x knots must be strictly increasing")
-        if any(y2 - y1 < 0 for y1, y2 in zip(ys, ys[1:])):
+        if not all(y2 >= y1 for y1, y2 in zip(ys, ys[1:])):
             raise ValueError("y knots must be non-decreasing")
 
     def cdf(self, x: float) -> float:

@@ -48,7 +48,7 @@ class StochasticCompetition(Adversary):
     """iid draws from a fixed distribution over grid indices."""
 
     def __init__(self, d):
-        if any(di < 0 for di in d) or abs(sum(d) - 1.0) > 1e-9:
+        if not (all(di >= 0 for di in d) and abs(sum(d) - 1.0) <= 1e-9):  # NaN fails
             raise ValueError("invalid competing-bid distribution")
         self.d = list(d)
         self._draws = None
@@ -81,9 +81,10 @@ class FixedSequence(Adversary):
 
     def prepare(self, T, K, rng):
         if len(self.indices) < T:
-            raise ValueError("fixed h-sequence shorter than the horizon")
-        if any(not (0 <= i <= K) for i in self.indices):
-            raise ValueError("h index off the grid")
+            raise ValueError(f"fixed h-sequence has {len(self.indices)} entries, "
+                             f"fewer than T={T}")
+        if not all(0 <= i <= K for i in self.indices):
+            raise ValueError(f"fixed h-sequence leaves the grid 0..{K}")
 
     def next(self, t, history):
         return self.indices[t - 1]
@@ -99,7 +100,7 @@ class DecreasingReserve(Adversary):
 
     def prepare(self, T, K, rng):
         if not (0 <= self.low <= K and 0 <= self.high <= K):
-            raise ValueError("reserve index off the grid")
+            raise ValueError(f"reserve index off the grid 0..{K}")
 
     def next(self, t, history):
         return self.high if t <= self.switch else self.low

@@ -42,11 +42,11 @@ class IrregularBidGrid:
         object.__setattr__(self, "bids", bids)
         if len(bids) < 2:
             raise ValueError("grid needs at least one positive bid")
-        if abs(bids[0]) > _ATOL:
+        if not abs(bids[0]) <= _ATOL:  # NaN fails every check here
             raise ValueError("lowest bid must be 0")
-        if any(b2 - b1 <= 0 for b1, b2 in zip(bids, bids[1:])):
+        if not all(b2 > b1 for b1, b2 in zip(bids, bids[1:])):
             raise ValueError("bids must be strictly increasing")
-        if bids[-1] > 1.0 + _ATOL:
+        if not bids[-1] <= 1.0 + _ATOL:
             raise ValueError("largest bid must not exceed 1")
 
     @property

@@ -179,7 +179,7 @@ class MeanBasedBucketBidder(Learner):
 
     def observe(self, h: int) -> None:
         self._table[:, h:] += self._mids[:, None] - self._bids[None, h:]
-        self._choice = tuple(int(j) for j in np.argmax(self._table, axis=1))
+        self._choice = tuple(np.argmax(self._table, axis=1).tolist())
         self.t += 1
 
 

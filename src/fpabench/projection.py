@@ -9,7 +9,9 @@ probability step runs it on -p and negates the result.
 
 ``project_oracle`` is an independent exact solver for the generic chain
 polytope (monotone vector with per-coordinate box bounds), used as ground
-truth for the closed forms.  It deliberately shares no code with them.
+truth for the closed forms: pool-adjacent-violators over blocks whose
+value is their mean clipped to the block's box, verified on every call.
+It deliberately shares no code with them.
 """
 
 from __future__ import annotations
@@ -176,9 +178,8 @@ def threshold_polytope(grid: Grid) -> ChainPolytope:
 def project_oracle(poly: ChainPolytope, q):
     """Exact Euclidean projection of q onto the chain polytope.
 
-    Runs an exact pool-adjacent dynamic program over the coordinate chain
-    (value functions stay convex piecewise quadratic; only their clipped
-    argmins need to be tracked) and then, on every call, checks feasibility
+    Runs pool-adjacent-violators over clipped blocks (see
+    ``_project_increasing``) and then, on every call, checks feasibility
     and first-order optimality over all contiguous block directions in
     O(K^2) (see ``_verify_block_optimality``).
     """
@@ -200,45 +201,37 @@ def project_oracle(poly: ChainPolytope, q):
 
 
 def _project_increasing(q, lo, up):
-    """Stage-wise dynamic program for the non-decreasing chain with boxes.
+    """Pool-adjacent-violators for the non-decreasing chain with boxes.
 
-    Stage value functions f_i are convex piecewise quadratic; their
-    derivative is a sum of (x - q_j) terms, where term j participates only
-    below the activation threshold tau[j] = min(amin[j:i]) (the running
-    minimum of later clipped argmins).  The root of each stage derivative
-    is found by pooling terms downward, then clipped into the stage box;
-    tau is carried as a suffix minimum while pooling.
+    A block of pooled coordinates takes the minimizer of its summed squared
+    distance over its tightest box [max lower, min upper]: its mean,
+    clipped.  Each coordinate opens a block, which merges into the one
+    before while their values fail to increase.  PAV is exact for
+    separable convex losses under chain constraints (Best, Chakravarti &
+    Ubhaya, SIAM J. Optim. 10(3), 2000); a squared loss plus a box
+    indicator is one.  On a feasible chain a merged box is never empty.
     """
-    n = len(q)
-    amin = [0.0] * n  # clipped argmin of each stage value function
-    L = -math.inf
-    for i in range(n):
-        L = max(L, lo[i])
-        # pool terms i, i-1, ... until the pooled root lands in its piece
-        r, cnt, s = i, 1, q[i]
-        root = s
-        tau_r = math.inf  # tau[r]
-        while r > 0:
-            # tau[r-1]; a tie keeps the lower index, as a forward running
-            # minimum would, which fixes the sign of a zero threshold
-            a = amin[r - 1]
-            tau_prev = a if a <= tau_r else tau_r
-            if not root < tau_prev:
+    blocks = []  # (value, sum, count, max lower, min upper)
+    for s, a, b in zip(q, lo, up):
+        n = 1
+        while True:
+            # the mean clipped into [a, b]: min(max(s / n, a), b) without
+            # the builtin calls
+            x = s / n
+            x = a if x < a else x
+            x = b if x > b else x
+            if not blocks or blocks[-1][0] < x:
                 break
-            r -= 1
-            cnt += 1
-            s += q[r]
-            root = s / cnt
-            tau_r = tau_prev
-        if root > tau_r:
-            # sign change happens at an upward jump of the derivative
-            root = tau_r
-        amin[i] = min(max(root, L), up[i])
-    x = [0.0] * n
-    x[n - 1] = amin[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = min(amin[i], x[i + 1])
-    return x
+            _, s0, n0, a0, b0 = blocks.pop()
+            s += s0
+            n += n0
+            a = a0 if a0 > a else a
+            b = b0 if b0 < b else b
+        blocks.append((x, s, n, a, b))
+    out = []
+    for x, _, n, _, _ in blocks:
+        out += [x] * n
+    return out
 
 
 def _verify_block_optimality(poly: ChainPolytope, q, x, tol: float = 1e-10, act: float = 1e-9):

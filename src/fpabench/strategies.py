@@ -146,9 +146,9 @@ class MisreportMap:
             raise ValueError("need matching x/y knots, at least two")
         if xs[0] != 0.0 or xs[-1] != 1.0:
             raise ValueError("map must cover [0, 1]")
-        if any(x2 < x1 for x1, x2 in zip(xs, xs[1:])):
+        if not all(x2 >= x1 for x1, x2 in zip(xs, xs[1:])):  # NaN fails
             raise ValueError("x knots must be non-decreasing")
-        if any(y < 0.0 or y > 1.0 for y in ys):
+        if not all(0.0 <= y <= 1.0 for y in ys):
             raise ValueError("reported values must stay in [0, 1]")
 
     @staticmethod

@@ -7,6 +7,7 @@ from fpabench.auction import (
     bid_for_value,
     check_probabilities,
     check_thresholds,
+    clamp_thresholds,
     expected_utility,
     probabilities_from_strategy,
     revenue_for_h,
@@ -174,6 +175,62 @@ def test_best_response_fifty_fifty():
     v = single_shot_best_response(g, (0.5, 0.5))
     # crossing of v/2 and (v - 1/4): tie at 1/2 goes to the smaller bid
     assert v == pytest.approx((0.5,), abs=1e-12)
+
+
+def _former_best_response(grid, d):
+    """The envelope scan single_shot_best_response used before the hull pass, frozen."""
+    bids = grid.bids
+    lines = []
+    acc = 0.0
+    for j, dj in enumerate(d):
+        acc += dj
+        if not lines or acc > lines[-1][1]:
+            lines.append((j, acc))
+    stack = [(lines[0][0], 0.0)]
+    slopes = dict(lines)
+    for j, Dj in lines[1:]:
+        x = 0.0
+        while stack:
+            jt, vt = stack[-1]
+            Dt = slopes[jt]
+            x = (bids[j] * Dj - bids[jt] * Dt) / (Dj - Dt)
+            if x <= vt:
+                stack.pop()
+            else:
+                break
+        if not stack:
+            stack.append((j, 0.0))
+        elif x < 1.0:
+            stack.append((j, x))
+    v = []
+    starts = {j: x for j, x in stack}
+    used = sorted(starts)
+    for i in range(1, grid.K + 1):
+        nxt = next((j for j in used if j >= i), None)
+        v.append(1.0 if nxt is None else starts[nxt])
+    return clamp_thresholds(v, grid)
+
+
+def test_best_response_bit_identical_to_the_former_scan():
+    rng = make_rng(27)
+    grids = {K: BidGrid(K, 1.0 / (K + 1)) for K in range(1, 17)}
+    for n in range(100000):
+        K = int(rng.integers(1, 17))
+        kind = n % 3
+        if kind == 0:  # sparse weights: zero weights repeat a cumulative slope
+            w = rng.random(K + 1) * (rng.random(K + 1) < 0.4)
+            w[int(rng.integers(0, K + 1))] += 1.0
+            d = w / w.sum()
+        elif kind == 1:  # empirical frequencies c / t, as the benchmark passes
+            t = int(rng.integers(1, 30))
+            d = np.bincount(rng.integers(0, K + 1, t), minlength=K + 1) / t
+        else:
+            d = rng.dirichlet(np.ones(K + 1))
+        d = tuple(d.tolist())
+        got = single_shot_best_response(grids[K], d)
+        want = _former_best_response(grids[K], d)
+        # compare bits, so the sign of a zero counts too
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_best_response_dominates_random_strategies():

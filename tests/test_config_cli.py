@@ -6,10 +6,11 @@ import pytest
 
 from fpabench.cli import main as cli_main
 from fpabench.config import ConfigError, parse_config, parse_misreport_table
-from fpabench.distributions import EqualRevenue, Uniform
+from fpabench.distributions import EqualRevenue, PiecewiseLinearCDF, Uniform
 from fpabench.environments import DecreasingReserve, StochasticCompetition, run_single_buyer
 from fpabench.grids import BidGrid, IrregularBidGrid
 from fpabench.learners import GradientBidder, ThresholdBidder
+from fpabench.strategies import MisreportMap
 from fpabench.verify import SUITES
 
 
@@ -146,17 +147,20 @@ def test_cli_misreport_twin_skips_the_prefix_benchmark(tmp_path, monkeypatch):
     calls = []
 
     def recording(*args, **kwargs):
-        calls.append(kwargs["benchmark"])
+        calls.append((kwargs["benchmark"], kwargs["mode"]))
         return run_single_buyer(*args, **kwargs)
 
     monkeypatch.setattr(cli, "run_single_buyer", recording)
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(MINIMAL.replace("alg2(eta=0.01)", "misreport(alg2, map=0:0;1:0.5)")
-                   .replace("T: 10000", "T: 50"))
-    assert cli_main(["run", "--config", str(cfg)]) == 0
-    # the misreporting run keeps the config's benchmark; its truthful twin
-    # feeds only ic_gap, which reads no benchmark column
-    assert calls == ["per-round", "final"]
+    for mode in ("exact", "sampled"):
+        calls.clear()
+        cfg.write_text(MINIMAL.replace("alg2(eta=0.01)", "misreport(alg2, map=0:0;1:0.5)")
+                       .replace("T: 10000", "T: 50") + f"mode: {mode}\n")
+        assert cli_main(["run", "--config", str(cfg)]) == 0
+        # the misreporting run keeps the config's benchmark and mode; its
+        # truthful twin feeds only ic_gap, which reads no benchmark column
+        # and no sampled draw
+        assert calls == [("per-round", mode), ("final", "exact")]
 
 
 def test_cli_bounds_come_from_the_metrics_cap_table(tmp_path):
@@ -292,8 +296,17 @@ def test_cli_run_rejects_bad_seed_or_reps(tmp_path, capsys, flags, needle):
     ("alg2(eta=0.01)", "alg1(harmonic)", "learner: alg1(harmonic) needs fbar"),
     ("alg2(eta=0.01)", "misreport(misreport(alg2, map=0:0;1:0.5), map=0:0;1:1)",
      "learner: misreporting bidders do not nest"),
+    ("alg2(eta=0.01)", "misreport(alg2, map=0:0;0.5:nan;1:1)",
+     "learner: reported values must stay in [0, 1]"),
+    ("{K: 2, eps: 0.25}\ndist: uniform\nlearner: alg2(eta=0.01)",
+     "{bids: [0, .nan, 0.5]}\ndist: uniform\nlearner: ftl",
+     "grid: bids must be strictly increasing"),
+    ("uniform\nlearner: alg2(eta=0.01)", "pwl(0:0,0.5:nan,1:1)\nlearner: alg2(eta=0.1)",
+     "dist: y knots must be non-decreasing"),
+    ("stochastic(0.5,0.25,0.25)", "stochastic(nan,0.5,0.5)",
+     "adversary: invalid competing-bid distribution"),
 ], ids=["seed", "K", "T", "replications", "harmonic-no-dmin", "harmonic-no-fbar-dmin",
-        "nested-misreport"])
+        "nested-misreport", "nan-map", "nan-bid", "nan-pwl", "nan-weight"])
 def test_cli_run_rejects_non_integral_or_negative_config_values(tmp_path, capsys,
                                                                old, new, needle):
     cfg = tmp_path / "cfg.yaml"
@@ -301,6 +314,48 @@ def test_cli_run_rejects_non_integral_or_negative_config_values(tmp_path, capsys
     assert cli_main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and needle in err[0]
+
+
+def test_constructors_reject_nan():
+    nan = float("nan")
+    for build in (lambda: MisreportMap((0.0, 0.5, 1.0), (0.0, nan, 1.0)),
+                  lambda: PiecewiseLinearCDF((0.0, 0.5, 1.0), (0.0, nan, 1.0)),
+                  lambda: PiecewiseLinearCDF((0.0, nan, 1.0), (0.0, 0.5, 1.0)),
+                  lambda: IrregularBidGrid((0.0, nan, 0.5)),
+                  lambda: IrregularBidGrid((nan, 0.5)),
+                  lambda: StochasticCompetition([nan, 0.5, 0.5])):
+        with pytest.raises(ValueError):
+            build()
+
+
+def _seq_config(tmp_path, indices, T):
+    seq = tmp_path / "h.txt"
+    seq.write_text(" ".join(map(str, indices)) + "\n")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"grid: {{K: 4, eps: 0.2}}\ndist: uniform\nlearner: alg2(eta=0.1)\n"
+                   f"adversary: seq({seq})\nT: {T}\nbenchmark: final\n")
+    return cfg
+
+
+@pytest.mark.parametrize("indices, T, needle", [
+    ([0, 1, 9, 2], 4, "leaves the grid 0..4"),
+    ([0, 1, 2], 50, "has 3 entries, fewer than T=50"),
+], ids=["off-grid", "short"])
+def test_cli_run_rejects_bad_seq_file(tmp_path, capsys, indices, T, needle):
+    cfg = _seq_config(tmp_path, indices, T)
+    assert cli_main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: adversary:") and needle in err[0]
+
+
+def test_cli_sweep_rejects_a_point_past_the_seq_file(tmp_path, capsys):
+    cfg = _seq_config(tmp_path, [0, 1, 2, 3] * 25, 50)
+    assert cli_main(["sweep", "--config", str(cfg), "--param", "T=50,200"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error at T=200: adversary:")
+    assert "fewer than T=200" in err[0]
 
 
 def test_parse_config_accepts_integral_floats():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,6 +218,76 @@ def test_block_check_matches_reference_fuzz():
         raised += want is not None
     # both verdicts must be exercised for the comparison to mean anything
     assert 2000 < raised < 18000
+
+
+def _former_dp(q, lo, up):
+    """The stage-wise dynamic program the oracle used before PAV, frozen."""
+    n = len(q)
+    amin = [0.0] * n
+    L = -math.inf
+    for i in range(n):
+        L = max(L, lo[i])
+        r, cnt, s = i, 1, q[i]
+        root = s
+        tau_r = math.inf
+        while r > 0:
+            a = amin[r - 1]
+            tau_prev = a if a <= tau_r else tau_r
+            if not root < tau_prev:
+                break
+            r -= 1
+            cnt += 1
+            s += q[r]
+            root = s / cnt
+            tau_r = tau_prev
+        if root > tau_r:
+            root = tau_r
+        amin[i] = min(max(root, L), up[i])
+    x = [0.0] * n
+    x[n - 1] = amin[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = min(amin[i], x[i + 1])
+    return x
+
+
+def _former_projection(poly, q):
+    if poly.increasing:
+        return _former_dp(q, poly.lower, poly.upper)
+    y = _former_dp([-t for t in q], [-b for b in poly.upper], [-a for a in poly.lower])
+    return [-t for t in y]
+
+
+def _random_chain(rng, K):
+    """A feasible chain with non-monotone bounds, or one of the learner polytopes."""
+    u = rng.random()
+    if u < 0.25:
+        return probability_polytope(BidGrid(K, 1.0 / (K + 1)), random_distribution(rng))
+    if u < 0.5:
+        return threshold_polytope(BidGrid(K, 1.0 / (K + 1)))
+    increasing = bool(rng.random() < 0.5)
+    lo = rng.random(K) * 1.2 - 0.2
+    up = lo + rng.random(K) * 0.8
+    # feasible: every ceiling clears the running max of the floors before
+    # it, taken in the direction the chain rises
+    step = 1 if increasing else -1
+    up = np.maximum(up, np.maximum.accumulate(lo[::step])[::step])
+    return ChainPolytope(increasing, tuple(lo), tuple(up))
+
+
+def test_oracle_is_exact_on_generic_chains_fuzz():
+    rng = make_rng(38)
+    for _ in range(10000):
+        K = int(rng.integers(1, 33))
+        poly = _random_chain(rng, K)
+        q = rng.random(K) * 1.6 - 0.3
+        if rng.random() < 0.3:  # tied inputs, some on the bounds
+            q = np.round(q * 4) / 4
+            q[rng.random(K) < 0.2] = poly.lower[0]
+        q = [float(t) for t in q]
+        x = project_oracle(poly, q)  # raises unless the self-check passes
+        assert poly.contains(x, atol=0.0)
+        want = _former_projection(poly, q)
+        assert max(abs(a - b) for a, b in zip(x, want)) <= 1e-15
 
 
 def test_oracle_non_expansive():
