@@ -256,3 +256,27 @@ def test_adversary_h_off_the_grid_is_rejected(make, bad):
     adv = AdaptiveCompetition(lambda t, history: 1 if t == 1 else bad)
     with pytest.raises(ValueError, match=f"h={bad} at t=2"):
         run_single_buyer(GRID, Uniform(), make(), adv, 5)
+
+
+class _JumpingThresholdBidder(ThresholdBidder):
+    """Drops every threshold to its bid at round k: a jump no gradient step
+    makes, which the per-step robustness inequality must catch at t=k."""
+
+    def __init__(self, grid, eta, k):
+        super().__init__(grid, eta)
+        self.k = k
+
+    def observe(self, h):
+        jump = self.t == self.k
+        super().observe(h)
+        if jump:
+            self.v = list(self.grid.bids[1:])
+
+
+@pytest.mark.parametrize("k", [1, 7, 40])
+def test_slack_gate_names_the_first_violating_round(k):
+    lrn = _JumpingThresholdBidder(GRID, 0.01, k)
+    adv = StochasticCompetition((0.2, 0.4, 0.4))
+    with pytest.raises(AssertionError,
+                       match=f"robustness inequality violated at t={k}: slack=-"):
+        run_single_buyer(GRID, Uniform(), lrn, adv, 60, seed=2)
