@@ -12,11 +12,17 @@ A monotone bidding strategy is stored either as
 
 Expected utility is concave in p, which is what makes projected gradient
 ascent work; every formula below is exact (no quadrature, no sampling).
+
+The ``*_rows`` forms evaluate the scalar forms on every row of an array at
+once, with the same operations in the same order, so each row equals the
+scalar result bit for bit.
 """
 
 from __future__ import annotations
 
 import bisect
+
+import numpy as np
 
 from .distributions import ValueDistribution
 from .grids import Grid
@@ -129,7 +135,11 @@ def utility_for_h(grid: Grid, F: ValueDistribution, p, i: int) -> float:
 
 def expected_utility(grid: Grid, F: ValueDistribution, d, p) -> float:
     """Expected utility against competing-bid distribution d (one round)."""
-    return sum(di * utility_for_h(grid, F, p, i) for i, di in enumerate(d) if di != 0.0)
+    total = 0.0  # summed left to right, as best_fixed_utility_rows does
+    for i, di in enumerate(d):
+        if di != 0.0:
+            total += di * utility_for_h(grid, F, p, i)
+    return total
 
 
 def threshold_margin(F: ValueDistribution, p_i: float, b_i: float) -> float:
@@ -165,6 +175,34 @@ def revenue_for_h(grid: Grid, p, i: int) -> float:
     for j in range(max(i, 0) + 1, grid.K + 1):
         total += (bids[j] - bids[j - 1]) * p[j - 1]
     return total
+
+
+def _with_p0(p):
+    """(R, K) probability rows -> (R, K+1) rows with the implicit p_0 = 1."""
+    p = np.asarray(p, dtype=float)
+    P = np.ones((p.shape[0], p.shape[1] + 1))
+    P[:, 1:] = p
+    return P
+
+
+def revenue_rows(grid: Grid, p):
+    """revenue_for_h(grid, p[r], i) for every row r of p and every i in 0..K."""
+    bids = grid.bids
+    P = _with_p0(p)
+    total = P * np.asarray(bids)
+    for j in range(1, grid.K + 1):
+        total[:, :j] += (bids[j] - bids[j - 1]) * P[:, j:j + 1]
+    return total
+
+
+def utility_rows(grid: Grid, F: ValueDistribution, p):
+    """utility_for_h(grid, F, p[r], i) for every row r of p and every i in 0..K.
+
+    utility_for_h accumulates the negated revenue sum, which rounds to the
+    exact negation of revenue_for_h's, so G(1 - p_i) minus the revenue is
+    the scalar result.
+    """
+    return F.quantile_tail_integral_array(1.0 - _with_p0(p)) - revenue_rows(grid, p)
 
 
 # ---------------------------------------------------------------------------
@@ -211,3 +249,73 @@ def best_fixed_utility(grid: Grid, F: ValueDistribution, d):
     v = single_shot_best_response(grid, d)
     p = probabilities_from_strategy(grid, F, v)
     return expected_utility(grid, F, d, p), v
+
+
+def best_response_rows(grid: Grid, d):
+    """single_shot_best_response(grid, d[r]) for every row r of an (R, K+1) array.
+
+    Each row runs the scalar upper-hull pass: the hull is an array of
+    (line, start) stacks, one per row, and a bid pops the rows whose top
+    it overtakes, round after round, until no row pops.
+    """
+    d = np.asarray(d, dtype=float)
+    R, n = d.shape
+    bids = np.asarray(grid.bids)
+    D = np.cumsum(d, axis=1)
+    size = np.ones(R, dtype=np.intp)
+    line = np.zeros((R, n), dtype=np.intp)
+    start = np.zeros((R, n))
+    last = D[:, 0].copy()
+    x = np.empty(R)
+    for j in range(1, n):
+        acc = D[:, j]
+        rows = np.flatnonzero(acc > last)  # a repeated slope keeps the smaller bid
+        last[rows] = acc[rows]
+        pending = rows
+        while pending.size:
+            top = size[pending] - 1
+            jt = line[pending, top]
+            a, Dt = acc[pending], D[pending, jt]
+            xp = (bids[j] * a - bids[jt] * Dt) / (a - Dt)
+            x[pending] = xp
+            popped = pending[xp <= start[pending, top]]
+            size[popped] -= 1
+            pending = popped[size[popped] > 0]
+        empty = size[rows] == 0
+        keep = rows[empty | (x[rows] < 1.0)]
+        at = size[keep]
+        line[keep, at] = j
+        start[keep, at] = np.where(size[keep] == 0, 0.0, x[keep])
+        size[keep] += 1
+    # threshold i is the start of the first hull bid j >= i, or 1
+    v = np.ones((R, n - 1))
+    i = np.arange(1, n)
+    for pos in range(n - 1, -1, -1):
+        on = (pos < size)[:, None] & (i[None, :] <= line[:, pos, None])
+        v = np.where(on, start[:, pos, None], v)
+    return _clamp_threshold_rows(v, grid)
+
+
+def _clamp_threshold_rows(v, grid: Grid):
+    """clamp_thresholds on every row; raises for the first row that drifts."""
+    out = np.empty_like(v)
+    prev = np.zeros(v.shape[0])
+    for i in range(grid.K):
+        prev = np.maximum(np.maximum(np.minimum(v[:, i], 1.0), prev), grid.bids[i + 1])
+        out[:, i] = prev
+    bad = np.argwhere(~(np.abs(out - v) <= CLAMP_TOL))
+    if bad.size:
+        r, i = bad[0]
+        _check_drift("v", i + 1, float(v[r, i]), float(out[r, i]))
+    return out
+
+
+def best_fixed_utility_rows(grid: Grid, F: ValueDistribution, d):
+    """best_fixed_utility(grid, F, d[r])[0] for every row r of an (R, K+1) array."""
+    d = np.asarray(d, dtype=float)
+    v = best_response_rows(grid, d)
+    u = utility_rows(grid, F, 1.0 - F.cdf_array(v))
+    total = np.zeros(d.shape[0])
+    for i in range(grid.K + 1):
+        total += np.where(d[:, i] != 0.0, d[:, i] * u[:, i], 0.0)
+    return total

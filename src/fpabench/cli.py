@@ -56,19 +56,30 @@ def _fmt(x) -> str:
     return repr(float(x)) if isinstance(x, float) else str(x)
 
 
-def _trace_rows(trace):
+_CSV_BLOCK = 64  # trace rows formatted at a time
+
+
+def _trace_csv(trace) -> str:
+    """The trace as CSV text, formatted column by column in row blocks.
+
+    Columns hold ints, Python floats and (``win``) bools; ``repr`` writes
+    ints as ``str`` does and floats as their shortest round-trip decimal.
+    """
     T = len(trace.h_index)
     sampled = trace.mode == "sampled"
-    cols = _SAMPLED_COLUMNS if sampled else _COLUMNS
-    yield ",".join(cols)
-    for t in range(T):
-        row = [t + 1, trace.h_index[t], trace.eta[t], trace.exp_utility[t],
-               trace.exp_revenue[t], trace.benchmark_cum[t], trace.regret_cum[t],
-               trace.potential[t], trace.slack[t]]
+    cols = [range(1, T + 1), trace.h_index, trace.eta, trace.exp_utility,
+            trace.exp_revenue, trace.benchmark_cum, trace.regret_cum,
+            trace.potential, trace.slack]
+    if sampled:
+        cols += [trace.value, trace.bid_index, trace.win, trace.payment]
+    blocks = [",".join(_SAMPLED_COLUMNS if sampled else _COLUMNS)]
+    for a in range(0, T, _CSV_BLOCK):
+        cells = [map(repr, col[a:a + _CSV_BLOCK]) for col in cols]
         if sampled:
-            row += [trace.value[t], trace.bid_index[t], trace.win[t],
-                    trace.payment[t]]
-        yield ",".join(_fmt(x) for x in row)
+            cells[-2] = map(("0", "1").__getitem__, trace.win[a:a + _CSV_BLOCK])
+        blocks.append("\n".join(map(",".join, zip(*cells))))
+    blocks.append("")  # the closing newline, without copying the text again
+    return "\n".join(blocks)
 
 
 def _run_replication(cfg: ExperimentConfig, rep: int):
@@ -113,7 +124,7 @@ def _run_replication(cfg: ExperimentConfig, rep: int):
         "wall_time_s": wall,
         "bounds": bounds,
     }
-    return rep, "\n".join(_trace_rows(trace)) + "\n", summary
+    return rep, _trace_csv(trace), summary
 
 
 def _execute(cfg: ExperimentConfig, out_dir: Path | None, threads: int | None):

@@ -12,6 +12,11 @@ exposes, in closed form:
 
 G is the workhorse of expected-utility formulas: E[V * 1(V > a)] equals
 G(F(a)) for atomless F, so conditional value masses never need quadrature.
+
+``cdf_array``, ``quantile_tail_integral_array`` and
+``survival_integral_array`` evaluate the same closed forms elementwise on
+a float array, with the scalar forms' operations in the scalar forms'
+order, so every element equals the scalar value bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +24,18 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+
+def _elementwise(fn, x):
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _log(x):
+    # numpy's log rounds differently from libm's on some inputs
+    return _elementwise(math.log, x)
 
 
 class ValueDistribution:
@@ -39,6 +56,17 @@ class ValueDistribution:
     @property
     def density_bound(self) -> float:
         raise NotImplementedError
+
+    # array forms; a distribution without closed forms loops its scalar ones
+
+    def cdf_array(self, x):
+        return _elementwise(self.cdf, x)
+
+    def quantile_tail_integral_array(self, q):
+        return _elementwise(self.quantile_tail_integral, q)
+
+    def survival_integral_array(self, x):
+        return _elementwise(self.survival_integral, x)
 
     @property
     def mean(self) -> float:
@@ -90,6 +118,25 @@ class Uniform(ValueDistribution):
             d = self.b - x
             return d * d / (2.0 * w)
         return (self.a - x) + 0.5 * w
+
+    def cdf_array(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x <= self.a, 0.0,
+                        np.where(x >= self.b, 1.0, (x - self.a) / (self.b - self.a)))
+
+    def quantile_tail_integral_array(self, q):
+        q = np.asarray(q, dtype=float)
+        top = q >= 1.0
+        q = np.maximum(q, 0.0)
+        g = self.a * (1.0 - q) + 0.5 * (self.b - self.a) * (1.0 - q * q)
+        return np.where(top, 0.0, g)
+
+    def survival_integral_array(self, x):
+        x = np.asarray(x, dtype=float)
+        w = self.b - self.a
+        d = self.b - x
+        return np.where(x >= self.b, 0.0,
+                        np.where(x >= self.a, d * d / (2.0 * w), (self.a - x) + 0.5 * w))
 
     @property
     def density_bound(self) -> float:
@@ -169,6 +216,39 @@ class EqualRevenue(ValueDistribution):
         if x < 0.125:
             total += 0.125 - x
         return total
+
+    def cdf_array(self, x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore"):
+            middle = 1.0 - 1.0 / (8.0 * x)
+        return np.where(x <= 0.125, 0.0,
+                        np.where(x < self._knee, middle,
+                                 np.where(x >= 1.0, 1.0, 1.0 - (1.0 - x) / self._c)))
+
+    def quantile_tail_integral_array(self, q):
+        q = np.asarray(q, dtype=float)
+        top = q >= 1.0
+        q = np.maximum(q, 0.0)
+        ystar = self._ystar
+        w = 1.0 - np.maximum(q, ystar)
+        total = w - 0.5 * self._c * w * w
+        low = q < ystar
+        total[low] += 0.125 * (_log(1.0 - q[low]) - math.log(1.0 - ystar))
+        return np.where(top, 0.0, total)
+
+    def survival_integral_array(self, x):
+        x = np.asarray(x, dtype=float)
+        top = x >= 1.0
+        x = np.maximum(x, 0.0)
+        knee = self._knee
+        d = 1.0 - np.maximum(x, knee)
+        total = d * d / (2.0 * self._c)
+        below = x < knee
+        lo = np.maximum(x[below], 0.125)
+        total[below] += 0.125 * (math.log(knee) - _log(lo))
+        bottom = x < 0.125
+        total[bottom] += 0.125 - x[bottom]
+        return np.where(top, 0.0, total)
 
     @property
     def density_bound(self) -> float:
@@ -255,6 +335,43 @@ class PiecewiseLinearCDF(ValueDistribution):
             sb = 1.0 - ys[k + 1]
             total += 0.5 * (sa + sb) * (xs[k + 1] - lo)
         return total
+
+    def cdf_array(self, x):
+        x = np.asarray(x, dtype=float)
+        xs, ys = np.asarray(self.xs), np.asarray(self.ys)
+        k = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+        t = (x - xs[k]) / (xs[k + 1] - xs[k])
+        inner = ys[k] + t * (ys[k + 1] - ys[k])
+        return np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, inner))
+
+    def quantile_tail_integral_array(self, q):
+        q = np.asarray(q, dtype=float)
+        top = q >= 1.0
+        q = np.maximum(q, 0.0)
+        xs, ys = self.xs, self.ys
+        total = np.zeros(q.shape)
+        for k in range(len(xs) - 1):
+            dy = ys[k + 1] - ys[k]
+            if dy <= 0.0:
+                continue
+            lo = np.maximum(q, ys[k])
+            dx = xs[k + 1] - xs[k]
+            qa = xs[k] + (lo - ys[k]) / dy * dx
+            total += np.where(ys[k + 1] <= q, 0.0, 0.5 * (qa + xs[k + 1]) * (ys[k + 1] - lo))
+        return np.where(top, 0.0, total)
+
+    def survival_integral_array(self, x):
+        x = np.asarray(x, dtype=float)
+        top = x >= 1.0
+        x = np.maximum(x, 0.0)
+        xs, ys = self.xs, self.ys
+        total = np.zeros(x.shape)
+        for k in range(len(xs) - 1):
+            lo = np.maximum(x, xs[k])
+            sa = 1.0 - self.cdf_array(lo)
+            sb = 1.0 - ys[k + 1]
+            total += np.where(xs[k + 1] <= x, 0.0, 0.5 * (sa + sb) * (xs[k + 1] - lo))
+        return np.where(top, 0.0, total)
 
     @property
     def density_bound(self) -> float:

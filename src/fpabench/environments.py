@@ -11,14 +11,17 @@ Two run modes:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
-from .auction import best_fixed_utility
+import numpy as np
+
 from .distributions import ValueDistribution
 from .grids import Grid
-from .metrics import ROBUSTNESS_STATE, check_robustness_step
+from .metrics import ROBUSTNESS_STATE, benchmark_columns, robustness_columns
 from .rng import ADVERSARY, RANKING, VALUES, stream_rng
+from .strategies import Plays
 
 UNWINNABLE = -1
 
@@ -137,33 +140,48 @@ class Trace:
     payment: list | None = None
 
 
+def _check_horizon(T) -> int:
+    if isinstance(T, bool) or not isinstance(T, numbers.Integral) or T < 1:
+        raise ValueError(f"T must be a positive integer, got {T!r}")
+    return int(T)
+
+
 def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adversary,
                      T: int, mode: str = "exact", seed: int = 0,
                      check_steps: bool = True, benchmark: str = "per-round") -> Trace:
     """Run the repeated-auction protocol for one buyer.
 
-    The loop records each round; one pass after it fills the benchmark and
-    regret columns.  benchmark="per-round" evaluates the prefix best-fixed
+    The loop only advances the learner: it records each round's h, eta,
+    strategy and (for checked alg1/alg2 learners) state.  One pass after
+    it computes every other column from those records: exact utility and
+    revenue, the potentials and robustness slacks, the benchmark and the
+    regret.  benchmark="per-round" evaluates the prefix best-fixed
     benchmark at every t (what the CSV trace wants); "final" evaluates it
-    once for the whole horizon, which is much cheaper for large sweeps and
-    leaves the same totals.
+    once for the whole horizon and leaves the same totals.
     """
+    T = _check_horizon(T)
     if mode not in ("exact", "sampled"):
         raise ValueError("mode must be exact or sampled")
     if benchmark not in ("per-round", "final"):
         raise ValueError(f"benchmark must be per-round or final, got {benchmark!r}")
+    if learner.grid != grid:
+        raise ValueError("every learner must bid on the auction's grid")
     adversary.prepare(T, grid.K, stream_rng(seed, ADVERSARY))
     sampled = mode == "sampled"
     value_u = stream_rng(seed, VALUES).random(T) if sampled else None
 
     kind = getattr(learner, "kind", None)
     state = ROBUSTNESS_STATE.get(kind) if check_steps else None
+    if state:
+        states = np.empty((T + 1, grid.K))  # row t: the state after round t
+        states[0] = getattr(learner, state)
 
     tr = Trace(mode, [], [], [], [], [], [], [], [],
                value=[] if sampled else None, bid_index=[] if sampled else None,
                win=[] if sampled else None, payment=[] if sampled else None)
     # the adversary reads the recorded columns, which grow round by round
     history = History(past_h=tr.h_index, past_values=tr.value if sampled else [])
+    plays = Plays()
     bids = grid.bids
 
     for t in range(1, T + 1):
@@ -172,8 +190,7 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
         h = operator.index(adversary.next(t, history))
         if not 0 <= h <= grid.K:
             raise ValueError(f"adversary returned h={h} at t={t}, outside 0..{grid.K}")
-        tr.exp_utility.append(strat.exact_utility(F, h))
-        tr.exp_revenue.append(strat.exact_revenue(F, h))
+        plays.record(strat)
 
         if sampled:
             val = F.quantile(float(value_u[t - 1]))
@@ -184,36 +201,29 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
             tr.win.append(won)
             tr.payment.append(bids[b] if won else 0.0)
 
-        if state:
-            before = list(getattr(learner, state))
         learner.observe(h)
-        eta_t = learner.last_eta
-        if state:
-            slack, phi = check_robustness_step(grid, F, before, getattr(learner, state),
-                                               h, eta_t, kind)
-            if not slack >= -1e-8:  # a NaN slack fails too
-                raise AssertionError(
-                    f"per-step robustness inequality violated at t={t}: slack={slack}")
-        else:
-            slack = phi = math.nan
         tr.h_index.append(h)
-        tr.eta.append(eta_t)
-        tr.potential.append(phi)
-        tr.slack.append(slack)
+        tr.eta.append(learner.last_eta)
+        if state:
+            states[t] = getattr(learner, state)
 
-    counts = [0] * (grid.K + 1)
-    if benchmark == "final":
-        for h in tr.h_index:
-            counts[h] += 1
-        bench, _ = best_fixed_utility(grid, F, tuple(c / T for c in counts))
-    util_cum = 0.0
-    for t, (h, u) in enumerate(zip(tr.h_index, tr.exp_utility), start=1):
-        if benchmark == "per-round":
-            counts[h] += 1
-            bench, _ = best_fixed_utility(grid, F, tuple(c / t for c in counts))
-        util_cum += u
-        tr.benchmark_cum.append(bench * t)
-        tr.regret_cum.append(bench * t - util_cum)
+    h = np.array(tr.h_index)
+    util, rev = plays.exact_columns(F, h)
+    del plays  # accounted for: free the strategies before the benchmark pass
+    if state:
+        slack, phi = robustness_columns(grid, F, states, h, tr.eta, kind)
+        bad = np.flatnonzero(~(slack >= -1e-8))  # a NaN slack fails too
+        if bad.size:
+            raise AssertionError(f"per-step robustness inequality violated at "
+                                 f"t={bad[0] + 1}: slack={float(slack[bad[0]])}")
+        tr.potential, tr.slack = phi.tolist(), slack.tolist()
+    else:
+        tr.potential, tr.slack = [math.nan] * T, [math.nan] * T
+    bench = benchmark_columns(grid, F, h, final=benchmark == "final")
+    bench *= np.arange(1, T + 1)
+    tr.exp_utility, tr.exp_revenue = util.tolist(), rev.tolist()
+    tr.benchmark_cum = bench.tolist()
+    tr.regret_cum = (bench - np.cumsum(util)).tolist()
     return tr
 
 
@@ -257,6 +267,7 @@ def run_multi_buyer(grid: Grid, distributions, learners, reserve, T: int,
     index.  Ties go to the buyer with the best (lowest) ranking draw.
     Sampled mode only: values are realized, bids are realized.
     """
+    T = _check_horizon(T)
     n = len(distributions)
     if n < 2 or len(learners) != n:
         raise ValueError("need >= 2 buyers with one learner each")

@@ -3,6 +3,9 @@
 The per-step inequality checkers mirror the telescoping arguments behind
 the regret and robustness guarantees: each returns the slack of one
 round's inequality, which must never drop below -1e-8 in any run.
+``benchmark_columns`` and ``robustness_columns`` evaluate the prefix
+benchmark and the robustness inequality for every round of a run at once,
+bit for bit equal to the scalar forms.
 """
 
 from __future__ import annotations
@@ -11,12 +14,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .auction import (
     best_fixed_utility,
+    best_fixed_utility_rows,
     bid_for_value,
     check_thresholds,
     probabilities_from_strategy,
     revenue_for_h,
+    revenue_rows,
 )
 from .distributions import EqualRevenue, PiecewiseLinearCDF, Uniform, ValueDistribution
 from .grids import Grid
@@ -129,18 +136,57 @@ def pseudo_regret(trace, F: ValueDistribution, grid: Grid) -> BenchmarkReport:
                            benchmark_total - learner_total)
 
 
+_BENCHMARK_BLOCK = 1024  # rounds whose prefix benchmark is evaluated together
+
+
+def benchmark_columns(grid: Grid, F: ValueDistribution, h, final: bool):
+    """Per-round best fixed utility of a run with competing bids h.
+
+    Round t gets best_fixed_utility under the empirical distribution of
+    h_1..h_t, or with ``final`` under that of the whole run.
+    """
+    h = np.asarray(h)
+    T, n = len(h), grid.K + 1
+    if final:
+        counts = np.bincount(h, minlength=n)
+        return np.full(T, best_fixed_utility_rows(grid, F, (counts / T)[None, :])[0])
+    bench = np.empty(T)
+    counts = np.zeros(n, dtype=np.int64)
+    for a in range(0, T, _BENCHMARK_BLOCK):
+        block = h[a:a + _BENCHMARK_BLOCK]
+        c = counts + np.cumsum(block[:, None] == np.arange(n), axis=0)
+        t = np.arange(a + 1, a + len(block) + 1)
+        bench[a:a + len(block)] = best_fixed_utility_rows(grid, F, c / t[:, None])
+        counts = c[-1]
+    return bench
+
+
 # ---------------------------------------------------------------------------
 # potentials and per-step inequality checkers
 
 
+def _left_sum(terms) -> float:
+    total = 0.0  # left to right, as _left_sums does per row
+    for x in terms:
+        total += x
+    return total
+
+
+def _left_sums(a):
+    total = np.zeros(a.shape[0])
+    for j in range(a.shape[1]):
+        total += a[:, j]
+    return total
+
+
 def potential_euclidean(p, eta: float) -> float:
     """||p||^2 / (2 eta); drives the known-distribution robustness bound."""
-    return sum(pj * pj for pj in p) / (2.0 * eta)
+    return _left_sum(pj * pj for pj in p) / (2.0 * eta)
 
 
 def potential_threshold_revenue(v, F: ValueDistribution, eta: float) -> float:
     """(1/eta) * sum_j integral_{v_j}^1 (1 - F); the threshold-learner potential."""
-    return sum(F.survival_integral(vj) for vj in v) / eta
+    return _left_sum(F.survival_integral(vj) for vj in v) / eta
 
 
 # learner kinds check_robustness_step knows, and the state attribute it reads
@@ -169,6 +215,33 @@ def check_robustness_step(grid: Grid, F: ValueDistribution, before, after,
         bound = mye + eta * F.density_bound
     else:
         raise ValueError(f"unknown kind {kind!r} (expected alg1 or alg2)")
+    return bound - (dphi + rev), phi
+
+
+def robustness_columns(grid: Grid, F: ValueDistribution, states, h, eta,
+                       kind: str):
+    """check_robustness_step for every round: (slack, potential) arrays.
+
+    ``states`` is the (T+1, K) array of the learner's state before each
+    round and after the last; ``h`` and ``eta`` hold each round's competing
+    bid and step size.
+    """
+    mye = myerson_revenue(F)[0]
+    states, eta = np.asarray(states, dtype=float), np.asarray(eta, dtype=float)
+    before = states[:-1]
+    if kind == "alg1":
+        total, scale = _left_sums(states * states), 2.0 * eta
+        p = before
+        bound = mye + eta
+    elif kind == "alg2":
+        total, scale = _left_sums(F.survival_integral_array(states)), eta
+        p = 1.0 - F.cdf_array(before)
+        bound = mye + eta * F.density_bound
+    else:
+        raise ValueError(f"unknown kind {kind!r} (expected alg1 or alg2)")
+    phi = total[:-1] / scale
+    dphi = total[1:] / scale - phi
+    rev = revenue_rows(grid, p)[np.arange(len(eta)), h]
     return bound - (dphi + rev), phi
 
 

@@ -4,6 +4,11 @@ A strategy maps a value in [0, 1] to a grid bid index.  Exact expected
 utility and seller revenue against a known competing bid are computed in
 closed form from the value distribution (no sampling), which is what keeps
 regret and robustness measurements noise-free.
+
+A run records its strategies in a ``Plays`` log and accounts for them
+after the loop: ``exact_columns`` gives each strategy class one columnar
+entry point that returns, bit for bit, the scalar ``exact_utility`` and
+``exact_revenue`` of every round.
 """
 
 from __future__ import annotations
@@ -12,7 +17,16 @@ import bisect
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .auction import bid_for_value, probabilities_from_strategy, revenue_for_h, utility_for_h
+import numpy as np
+
+from .auction import (
+    bid_for_value,
+    probabilities_from_strategy,
+    revenue_for_h,
+    revenue_rows,
+    utility_for_h,
+    utility_rows,
+)
 from .distributions import ValueDistribution
 from .grids import Grid
 
@@ -28,6 +42,39 @@ class Strategy:
 
     def exact_revenue(self, F: ValueDistribution, h: int) -> float:
         raise NotImplementedError
+
+    @classmethod
+    def exact_columns(cls, F: ValueDistribution, plays, run, h):
+        """(utility, revenue) arrays: ``plays[run[t]]`` against ``h[t]`` for every t.
+
+        This default calls the scalar forms once per round.
+        """
+        rounds = list(zip(run.tolist(), h.tolist()))
+        return (np.array([plays[r].exact_utility(F, hi) for r, hi in rounds]),
+                np.array([plays[r].exact_revenue(F, hi) for r, hi in rounds]))
+
+
+class Plays:
+    """The strategy of every round of a run, stored once per run of equal rounds.
+
+    A learner plays one strategy class for the whole run; ``exact_columns``
+    hands the log to that class's columnar accounting.
+    """
+
+    def __init__(self):
+        self.plays = []
+        self.rounds = []  # how many consecutive rounds each entry was played
+
+    def record(self, strategy: Strategy) -> None:
+        if self.plays and strategy == self.plays[-1]:
+            self.rounds[-1] += 1
+        else:
+            self.plays.append(strategy)
+            self.rounds.append(1)
+
+    def exact_columns(self, F: ValueDistribution, h):
+        run = np.repeat(np.arange(len(self.plays)), self.rounds)
+        return type(self.plays[0]).exact_columns(F, self.plays, run, np.asarray(h))
 
 
 @dataclass(frozen=True)
@@ -51,6 +98,12 @@ class ThresholdStrategy(Strategy):
     def exact_revenue(self, F: ValueDistribution, h: int) -> float:
         p = probabilities_from_strategy(self.grid, F, self.thresholds)
         return revenue_for_h(self.grid, p, h)
+
+    @classmethod
+    def exact_columns(cls, F, plays, run, h):
+        grid = plays[0].grid
+        p = 1.0 - F.cdf_array(np.array([s.thresholds for s in plays]))
+        return (utility_rows(grid, F, p)[run, h], revenue_rows(grid, p)[run, h])
 
 
 @lru_cache(maxsize=64)
@@ -120,6 +173,21 @@ class BucketStrategy(PiecewiseStrategy):
 
     def masses(self, F: ValueDistribution):
         return _bucket_masses(F, self.buckets)
+
+    @classmethod
+    def exact_columns(cls, F, plays, run, h):
+        # one (entry, h) table, each cell summed over the buckets in order
+        df, ev = plays[0].masses(F)
+        bids = np.asarray(plays[0].grid.bids)
+        choice = np.array([s.bids_per_bucket for s in plays])
+        wins = choice[:, :, None] >= np.arange(len(bids))
+        util = np.zeros((len(plays), len(bids)))
+        rev = np.zeros_like(util)
+        for b, (mass, value_mass) in enumerate(zip(df, ev)):
+            paid = bids[choice[:, b]] * mass
+            util += np.where(wins[:, b], (value_mass - paid)[:, None], 0.0)
+            rev += np.where(wins[:, b], paid[:, None], 0.0)
+        return util[run, h], rev[run, h]
 
     def bid_index(self, value: float) -> int:
         n = len(self.bids_per_bucket)

@@ -7,6 +7,7 @@ from conftest import make_rng
 from fpabench.distributions import EqualRevenue, Uniform
 from fpabench.environments import (
     AdaptiveCompetition,
+    Adversary,
     DecreasingReserve,
     FixedSequence,
     LowerBoundCompetition,
@@ -280,3 +281,42 @@ def test_slack_gate_names_the_first_violating_round(k):
     with pytest.raises(AssertionError,
                        match=f"robustness inequality violated at t={k}: slack=-"):
         run_single_buyer(GRID, Uniform(), lrn, adv, 60, seed=2)
+
+
+class _PrepareForbidden(Adversary):
+    def prepare(self, T, K, rng):
+        raise AssertionError("the adversary was prepared for a bad horizon")
+
+
+@pytest.mark.parametrize("T", [0, 2.0, -3])
+def test_run_single_buyer_rejects_a_bad_horizon_before_prepare(T):
+    # unchecked, T=0 divided by zero under the final benchmark, T=2.0 and
+    # T=-3 failed inside numpy with unrelated messages
+    lrn = ThresholdBidder(GRID, 0.02)
+    for benchmark in ("per-round", "final"):
+        with pytest.raises(ValueError, match="T must be a positive integer"):
+            run_single_buyer(GRID, Uniform(), lrn, _PrepareForbidden(), T,
+                             benchmark=benchmark)
+    assert lrn.t == 1
+
+
+@pytest.mark.parametrize("T", [0, 2.0, -3])
+def test_run_multi_buyer_rejects_a_bad_horizon(T):
+    g = BidGrid(4, 0.125)
+    learners = [ThresholdBidder(g, 0.01) for _ in range(3)]
+    with pytest.raises(ValueError, match="T must be a positive integer"):
+        run_multi_buyer(g, [Uniform()] * 3, learners, 4, T, seed=7)
+    assert all(lrn.t == 1 for lrn in learners)
+
+
+@pytest.mark.parametrize("K", [8, 2])
+def test_run_single_buyer_rejects_a_learner_on_another_grid(K):
+    # unchecked, a K=8 learner in a K=4 run was accounted on the wrong grid
+    # until a misleading robustness failure at t=48; a K=2 learner raised
+    # IndexError
+    g = BidGrid(4, 0.125)
+    lrn = ThresholdBidder(BidGrid(K, 0.125), 0.01)
+    adv = StochasticCompetition((0.2, 0.2, 0.2, 0.2, 0.2))
+    with pytest.raises(ValueError, match="every learner must bid on the auction's grid"):
+        run_single_buyer(g, Uniform(), lrn, adv, 100, seed=7)
+    assert lrn.t == 1
