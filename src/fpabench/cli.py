@@ -23,7 +23,7 @@ from pathlib import Path
 from .config import ConfigError, ExperimentConfig, check_adversary, parse_config, seed_error
 from .environments import run_single_buyer
 from .learners import MisreportingBidder
-from .metrics import guarantee_caps, ic_gap, myerson_revenue, pseudo_regret
+from .metrics import _left_sum, guarantee_caps, ic_gap, myerson_revenue
 from .verify import SUITES
 
 _COLUMNS = ("t", "h_index", "eta_t", "exp_utility", "exp_revenue",
@@ -101,9 +101,8 @@ def _run_replication(cfg: ExperimentConfig, rep: int):
     wall = time.perf_counter() - t0
 
     kind = getattr(learner, "kind", "?")
-    report = pseudo_regret(trace, cfg.dist, cfg.grid)
     mye, _ = myerson_revenue(cfg.dist)
-    total_rev = float(sum(trace.exp_revenue))
+    total_rev = _left_sum(trace.exp_revenue)
     slacks = [s for s in trace.slack if not math.isnan(s)]
     T = cfg.T
     bounds = {**guarantee_caps(cfg.grid.K, T, cfg.dist.density_bound),
@@ -114,9 +113,10 @@ def _run_replication(cfg: ExperimentConfig, rep: int):
         "learner": cfg.learner_spec,
         "kind": kind,
         "T": T,
-        "regret": report.regret,
-        "benchmark_total": report.benchmark_total,
-        "learner_total": report.learner_total,
+        # the last row's totals equal pseudo_regret's without a second pass
+        "regret": trace.regret_cum[-1],
+        "benchmark_total": trace.benchmark_cum[-1],
+        "learner_total": _left_sum(trace.exp_utility),
         "revenue_total": total_rev,
         "revenue_excess": total_rev - mye * T,
         "ic_gap": gap,
@@ -237,7 +237,7 @@ def _cmd_sweep(args) -> int:
             print(f"ABORT at T={T}: {exc}", file=sys.stderr)
             return 2
         n = len(summaries)
-        mean = lambda key: (sum(s[key] for s in summaries) / n
+        mean = lambda key: (_left_sum(s[key] for s in summaries) / n
                             if summaries[0][key] is not None else math.nan)
         row = (T, mean("regret"), mean("revenue_excess"), mean("ic_gap"),
                min(s["min_slack"] for s in summaries)

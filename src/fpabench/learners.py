@@ -104,7 +104,6 @@ class GradientBidder(Learner):
         check_probabilities(self.p, grid, F, atol=CLAMP_TOL)
         self.t = 1
         self.last_eta = policy.at(1)
-        self.last_diagnostics = None
         self._closed_form = isinstance(grid, BidGrid)
         self._poly = None if self._closed_form else probability_polytope(grid, F)
 
@@ -116,8 +115,7 @@ class GradientBidder(Learner):
         eta = self.policy.at(self.t)
         self.last_eta = eta
         if self._closed_form:
-            self.p, self.last_diagnostics = ga_step_probabilities(
-                self.grid, self.F, self.p, h, eta)
+            self.p, _ = ga_step_probabilities(self.grid, self.F, self.p, h, eta)
         else:
             g = utility_gradient(self.grid, self.F, self.p, h)
             q = [pj + eta * gj for pj, gj in zip(self.p, g)]
@@ -141,13 +139,12 @@ class ThresholdBidder(Learner):
             raise ValueError(f"step size must be positive and finite, got {eta}")
         self.t = 1
         self.last_eta = eta
-        self.last_diagnostics = None
 
     def strategy(self) -> ThresholdStrategy:
         return ThresholdStrategy(self.grid, tuple(self.v))
 
     def observe(self, h: int) -> None:
-        self.v, self.last_diagnostics = ga_step_thresholds(self.grid, self.v, h, self.eta)
+        self.v, _ = ga_step_thresholds(self.grid, self.v, h, self.eta)
         self.t += 1
 
 

@@ -108,8 +108,6 @@ def optimal_multi_buyer_revenue(F_list) -> float:
 
 @dataclass(frozen=True)
 class BenchmarkReport:
-    empirical_d: tuple[float, ...]
-    benchmark_thresholds: tuple[float, ...]
     benchmark_total: float
     learner_total: float
     regret: float
@@ -128,12 +126,10 @@ def pseudo_regret(trace, F: ValueDistribution, grid: Grid) -> BenchmarkReport:
     counts = [0] * (grid.K + 1)
     for h in trace.h_index:
         counts[h] += 1
-    d_hat = tuple(c / T for c in counts)
-    per_round, v_star = best_fixed_utility(grid, F, d_hat)
-    learner_total = float(sum(trace.exp_utility))
+    per_round, _ = best_fixed_utility(grid, F, tuple(c / T for c in counts))
+    learner_total = _left_sum(trace.exp_utility)
     benchmark_total = per_round * T
-    return BenchmarkReport(d_hat, tuple(v_star), benchmark_total, learner_total,
-                           benchmark_total - learner_total)
+    return BenchmarkReport(benchmark_total, learner_total, benchmark_total - learner_total)
 
 
 _BENCHMARK_BLOCK = 1024  # rounds whose prefix benchmark is evaluated together
@@ -296,7 +292,7 @@ def ic_gap(trace_truthful, trace_misreport) -> float:
     """Total exact-utility gain of the misreporting twin over the truthful run."""
     if list(trace_truthful.h_index) != list(trace_misreport.h_index):
         raise ValueError("traces saw different h-sequences")
-    return float(sum(trace_misreport.exp_utility) - sum(trace_truthful.exp_utility))
+    return _left_sum(trace_misreport.exp_utility) - _left_sum(trace_truthful.exp_utility)
 
 
 def guarantee_caps(K: int, T: int, fbar: float) -> dict:
@@ -321,7 +317,7 @@ class RobustnessReport:
 
 def robustness_report(trace, F: ValueDistribution, grid: Grid, kind: str) -> RobustnessReport:
     T = len(trace.h_index)
-    total_rev = float(sum(trace.exp_revenue))
+    total_rev = _left_sum(trace.exp_revenue)
     mye_total = myerson_revenue(F)[0] * T
     cap = guarantee_caps(grid.K, T, F.density_bound).get(f"revenue_excess_cap_{kind}")
     if cap is None:

@@ -6,16 +6,16 @@ closed form from the value distribution (no sampling), which is what keeps
 regret and robustness measurements noise-free.
 
 A run records its strategies in a ``Plays`` log and accounts for them
-after the loop: ``exact_columns`` gives each strategy class one columnar
-entry point that returns, bit for bit, the scalar ``exact_utility`` and
-``exact_revenue`` of every round.
+after the loop: ``exact_columns`` gives each strategy shape, threshold and
+piecewise (bucket and misreported), one columnar kernel that returns, bit
+for bit, the scalar ``exact_utility`` and ``exact_revenue`` of every round.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -45,13 +45,8 @@ class Strategy:
 
     @classmethod
     def exact_columns(cls, F: ValueDistribution, plays, run, h):
-        """(utility, revenue) arrays: ``plays[run[t]]`` against ``h[t]`` for every t.
-
-        This default calls the scalar forms once per round.
-        """
-        rounds = list(zip(run.tolist(), h.tolist()))
-        return (np.array([plays[r].exact_utility(F, hi) for r, hi in rounds]),
-                np.array([plays[r].exact_revenue(F, hi) for r, hi in rounds]))
+        """(utility, revenue) arrays: ``plays[run[t]]`` against ``h[t]`` for every t."""
+        raise NotImplementedError
 
 
 class Plays:
@@ -106,7 +101,6 @@ class ThresholdStrategy(Strategy):
         return (utility_rows(grid, F, p)[run, h], revenue_rows(grid, p)[run, h])
 
 
-@lru_cache(maxsize=64)
 def piece_masses(F: ValueDistribution, edges: tuple[float, ...]):
     """dF and E[V 1(V in piece)] of each piece of [0, 1] cut at the interior edges."""
     cdf = [F.cdf(c) for c in (0.0,) + edges + (1.0,)]
@@ -117,13 +111,10 @@ def piece_masses(F: ValueDistribution, edges: tuple[float, ...]):
 
 class PiecewiseStrategy(Strategy):
     """Bid ``piece_bids[b]`` on the b-th piece of [0, 1] cut at ``edges``;
-    exact accounting is one pass over the cached piece masses."""
-
-    def masses(self, F: ValueDistribution):
-        return piece_masses(F, self.edges)
+    exact accounting is one pass over the piece masses."""
 
     def exact_utility(self, F: ValueDistribution, h: int) -> float:
-        df, ev = self.masses(F)
+        df, ev = piece_masses(F, self.edges)
         bids = self.grid.bids
         total = 0.0
         for j, mass, value_mass in zip(self.piece_bids, df, ev):
@@ -132,7 +123,7 @@ class PiecewiseStrategy(Strategy):
         return total
 
     def exact_revenue(self, F: ValueDistribution, h: int) -> float:
-        df, _ = self.masses(F)
+        df, _ = piece_masses(F, self.edges)
         bids = self.grid.bids
         total = 0.0
         for j, mass in zip(self.piece_bids, df):
@@ -140,16 +131,34 @@ class PiecewiseStrategy(Strategy):
                 total += bids[j] * mass
         return total
 
+    @classmethod
+    def exact_columns(cls, F, plays, run, h):
+        # one (play, h) table, each cell summed over the pieces in the order
+        # exact_utility sums them.  Plays that share a partition share one
+        # masses row (the array forms give piece_masses's bits); shorter
+        # plays are padded with massless pieces, cut at 1.0, which add +0.0.
+        rows = {}
+        row = [rows.setdefault(s.edges, len(rows)) for s in plays]
+        n = max(map(len, rows)) + 1  # pieces per padded play
+        cdf = F.cdf_array([(0.0,) + e + (1.0,) * (n - len(e)) for e in rows])
+        tail = F.quantile_tail_integral_array(cdf)
+        df = (cdf[:, 1:] - cdf[:, :-1])[row]
+        ev = (tail[:, :-1] - tail[:, 1:])[row]
+        choice = np.array([s.piece_bids + (0,) * (n - len(s.piece_bids)) for s in plays])
+        bids = np.asarray(plays[0].grid.bids)
+        wins = choice[:, :, None] >= np.arange(len(bids))
+        util = np.zeros((len(plays), len(bids)))
+        rev = np.zeros_like(util)
+        for b in range(n):
+            paid = bids[choice[:, b]] * df[:, b]
+            util += np.where(wins[:, b], (ev[:, b] - paid)[:, None], 0.0)
+            rev += np.where(wins[:, b], paid[:, None], 0.0)
+        return util[run, h], rev[run, h]
+
 
 @lru_cache(maxsize=32)
 def _bucket_edges(buckets: int) -> tuple[float, ...]:
     return tuple(b / buckets for b in range(1, buckets))
-
-
-@lru_cache(maxsize=32)
-def _bucket_masses(F: ValueDistribution, buckets: int):
-    # keyed on the count: hashing the edge tuple every round costs more
-    return piece_masses(F, _bucket_edges(buckets))
 
 
 @dataclass(frozen=True)
@@ -170,24 +179,6 @@ class BucketStrategy(PiecewiseStrategy):
     @property
     def piece_bids(self) -> tuple[int, ...]:
         return self.bids_per_bucket
-
-    def masses(self, F: ValueDistribution):
-        return _bucket_masses(F, self.buckets)
-
-    @classmethod
-    def exact_columns(cls, F, plays, run, h):
-        # one (entry, h) table, each cell summed over the buckets in order
-        df, ev = plays[0].masses(F)
-        bids = np.asarray(plays[0].grid.bids)
-        choice = np.array([s.bids_per_bucket for s in plays])
-        wins = choice[:, :, None] >= np.arange(len(bids))
-        util = np.zeros((len(plays), len(bids)))
-        rev = np.zeros_like(util)
-        for b, (mass, value_mass) in enumerate(zip(df, ev)):
-            paid = bids[choice[:, b]] * mass
-            util += np.where(wins[:, b], (value_mass - paid)[:, None], 0.0)
-            rev += np.where(wins[:, b], paid[:, None], 0.0)
-        return util[run, h], rev[run, h]
 
     def bid_index(self, value: float) -> int:
         n = len(self.bids_per_bucket)
@@ -236,10 +227,8 @@ class MisreportMap:
         return ys[k] + t * (ys[k + 1] - ys[k])
 
 
-@lru_cache(maxsize=64)
-def _pull_back(report: MisreportMap, edges: tuple[float, ...]):
-    """Interior cuts of [0, 1] where report(v) has a knot or reaches an edge,
-    and the reported value at each piece's midpoint."""
+def _pull_back(report: MisreportMap, edges: tuple[float, ...]) -> tuple[float, ...]:
+    """Interior cuts of [0, 1] where report(v) has a knot or reaches an edge."""
     xs, ys = report.xs, report.ys
     pts = set(xs)
     for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
@@ -250,27 +239,31 @@ def _pull_back(report: MisreportMap, edges: tuple[float, ...]):
         for w in edges:
             if lo < w <= hi:
                 pts.add(x0 + (w - y0) / slope)
-    cuts = tuple(sorted([t for t in pts if 0.0 < t < 1.0]))
-    bounds = (0.0,) + cuts + (1.0,)
-    return cuts, tuple([report(0.5 * (a + c)) for a, c in zip(bounds, bounds[1:])])
+    return tuple(sorted([t for t in pts if 0.0 < t < 1.0]))
 
 
 @dataclass(frozen=True)
 class ComposedStrategy(PiecewiseStrategy):
     """bid(v) = inner(M(v)): the inner edges pulled back through M cut the
-    pieces, each bidding inner's bid at its reported midpoint."""
+    pieces, each bidding inner's bid at its reported midpoint.  The pieces
+    are worked out on first use, so only accounted plays pay for them."""
 
     inner: Strategy
     report: MisreportMap
-    grid: Grid = field(init=False, repr=False, compare=False)
-    edges: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    piece_bids: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        edges, mids = _pull_back(self.report, self.inner.edges)
-        object.__setattr__(self, "grid", self.inner.grid)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "piece_bids", tuple(map(self.inner.bid_index, mids)))
+    @property
+    def grid(self) -> Grid:
+        return self.inner.grid
+
+    @cached_property
+    def edges(self) -> tuple[float, ...]:
+        return _pull_back(self.report, self.inner.edges)
+
+    @cached_property
+    def piece_bids(self) -> tuple[int, ...]:
+        bounds = (0.0,) + self.edges + (1.0,)
+        return tuple([self.inner.bid_index(self.report(0.5 * (a + c)))
+                      for a, c in zip(bounds, bounds[1:])])
 
     def bid_index(self, value: float) -> int:
         return self.inner.bid_index(self.report(value))

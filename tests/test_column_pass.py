@@ -6,12 +6,14 @@ scalar ``best_fixed_utility``, ``utility_for_h``, ``revenue_for_h``,
 ``exact_utility``/``exact_revenue`` and ``check_robustness_step`` bit for
 bit, on both grid kinds, K from 1 to 32, every distribution kind, and
 competing-bid sequences that leave bids unplayed (repeated slopes).
+Misreported plays mix shared and per-play partitions and piece counts.
 """
 
 import numpy as np
 import pytest
 
 from conftest import make_rng
+from fpabench import strategies
 from fpabench.auction import (
     best_fixed_utility,
     best_response_rows,
@@ -22,7 +24,9 @@ from fpabench.auction import (
     utility_rows,
 )
 from fpabench.distributions import EqualRevenue, PiecewiseLinearCDF, Uniform
+from fpabench.environments import AdaptiveCompetition, run_single_buyer
 from fpabench.grids import BidGrid, IrregularBidGrid
+from fpabench.learners import MeanBasedBucketBidder, MisreportingBidder
 from fpabench.metrics import benchmark_columns, check_robustness_step, robustness_columns
 from fpabench.projection import probability_polytope, threshold_polytope
 from fpabench.strategies import (
@@ -86,6 +90,11 @@ def test_row_accounting_matches_the_scalar_forms():
                 assert rev[r, i] == revenue_for_h(grid, p[r].tolist(), i), (k, r, i)
 
 
+QUARTER = MisreportMap((0.0, 0.5, 0.5, 1.0), (0.0, 0.5, 0.25, 0.25))
+FLAT = MisreportMap((0.0, 1.0), (0.5, 0.5))  # one piece
+ZIGZAG = MisreportMap((0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 1.0, 0.0, 1.0, 0.0))
+
+
 def _strategies(grid, rng, kind, n):
     if kind == "threshold":
         poly = threshold_polytope(grid)
@@ -93,8 +102,18 @@ def _strategies(grid, rng, kind, n):
     if kind == "bucket":
         return [BucketStrategy(grid, tuple(rng.integers(0, grid.K + 1, 16).tolist()))
                 for _ in range(n)]
-    report = MisreportMap((0.0, 0.5, 0.5, 1.0), (0.0, 0.5, 0.25, 0.25))
-    return [ComposedStrategy(s, report) for s in _strategies(grid, rng, "threshold", n)]
+    return [ComposedStrategy(s, QUARTER) for s in _strategies(grid, rng, "threshold", n)]
+
+
+def _check_plays(F, h, pool, rng, k):
+    played = [pool[j] for j in rng.integers(0, len(pool), len(h))]  # runs repeat
+    plays = Plays()
+    for s in played:
+        plays.record(s)
+    util, rev = plays.exact_columns(F, h)
+    for t, (s, hi) in enumerate(zip(played, h.tolist())):
+        assert util[t] == s.exact_utility(F, hi), (k, t)
+        assert rev[t] == s.exact_revenue(F, hi), (k, t)
 
 
 @pytest.mark.parametrize("kind", ["threshold", "bucket", "composed"])
@@ -102,15 +121,47 @@ def test_strategy_columns_match_exact_utility_and_revenue(kind):
     for k in range(32):
         rng = make_rng(1100 + k)
         grid, F, h = _instance(rng, k)
-        pool = _strategies(grid, rng, kind, 4)
-        played = [pool[j] for j in rng.integers(0, len(pool), len(h))]  # runs repeat
-        plays = Plays()
-        for s in played:
-            plays.record(s)
-        util, rev = plays.exact_columns(F, h)
-        for t, (s, hi) in enumerate(zip(played, h.tolist())):
-            assert util[t] == s.exact_utility(F, hi), (k, t)
-            assert rev[t] == s.exact_revenue(F, hi), (k, t)
+        _check_plays(F, h, _strategies(grid, rng, kind, 4), rng, k)
+
+
+@pytest.mark.parametrize("inner,maps", [
+    ("bucket", (QUARTER,)),               # every play on one partition
+    ("threshold", (QUARTER,)),            # a partition per play
+    ("bucket", (FLAT, QUARTER, ZIGZAG)),  # piece counts differ: padding
+    ("threshold", (FLAT, QUARTER, ZIGZAG)),
+])
+def test_composed_columns_match_the_scalar_forms(inner, maps):
+    for k in range(32):
+        rng = make_rng(1300 + k)
+        grid, F, h = _instance(rng, k)
+        pool = [ComposedStrategy(s, maps[j % len(maps)])
+                for j, s in enumerate(_strategies(grid, rng, inner, 6))]
+        if inner == "bucket" and len(maps) == 1:
+            assert len({s.edges for s in pool}) == 1
+        if len(maps) > 1:
+            assert len({len(s.piece_bids) for s in pool}) > 1
+        _check_plays(F, h, pool, rng, k)
+
+
+def test_misreport_ftl_run_resolves_pieces_once_per_distinct_play(monkeypatch):
+    resolved, seen = [], set()
+    pull_back = strategies._pull_back
+
+    def counting(report, edges):
+        resolved.append(edges)
+        return pull_back(report, edges)
+
+    def reserve(t, history):  # example 5.2's decreasing reserve
+        seen.add(history.current_strategy)
+        return 2 if t <= 1000 else 1
+
+    monkeypatch.setattr(strategies, "_pull_back", counting)
+    learner = MisreportingBidder(MeanBasedBucketBidder(BidGrid(2, 0.125), 64), QUARTER)
+    run_single_buyer(BidGrid(2, 0.125), EqualRevenue(0.1), learner,
+                     AdaptiveCompetition(reserve), 2000, benchmark="final",
+                     check_steps=False)
+    assert 1 < len(seen) < 2000
+    assert 0 < len(resolved) <= len(seen)
 
 
 @pytest.mark.parametrize("kind", ["alg1", "alg2"])

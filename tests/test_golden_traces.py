@@ -9,9 +9,11 @@ digest moves a trace or a summary, and must say which and why.
 
 import hashlib
 import json
+import math
 
 import pytest
 
+from fpabench import cli, metrics
 from fpabench.cli import main as cli_main
 
 _K4 = "grid: {K: 4, eps: 0.2}\ndist: uniform\n"
@@ -113,4 +115,18 @@ def run_digests(tmp_path, name, seed):
 
 @pytest.mark.parametrize("name,seed", list(DIGESTS), ids=[f"{n}-{s}" for n, s in DIGESTS])
 def test_golden_trace_digests(tmp_path, name, seed):
+    assert run_digests(tmp_path, name, seed) == DIGESTS[name, seed]
+
+
+_SUM_CASES = [("single_trace_alg1", 4242), ("single_trace_alg2", 7),
+              ("single_trace_ftl", 99), ("misreport_ftl_equirev", 7),
+              ("misreport_alg2_equirev", 99)]
+
+
+@pytest.mark.parametrize("name,seed", _SUM_CASES, ids=[f"{n}-{s}" for n, s in _SUM_CASES])
+def test_golden_digests_do_not_depend_on_the_builtin_sum(tmp_path, monkeypatch, name, seed):
+    # Python 3.12's sum() compensates and 3.11's does not: a summary total
+    # taken with the builtin would move with the interpreter
+    for module in (cli, metrics):
+        monkeypatch.setattr(module, "sum", math.fsum, raising=False)
     assert run_digests(tmp_path, name, seed) == DIGESTS[name, seed]

@@ -17,6 +17,7 @@ from fpabench.learners import (
     default_eta_known_f,
     default_eta_threshold,
 )
+from fpabench.projection import ga_step_probabilities
 from fpabench.strategies import MisreportMap
 
 
@@ -35,7 +36,10 @@ def test_gradient_bidder_frozen_step():
     lrn = GradientBidder(g, Uniform(), FixedStep(1.0), p1=[0.40, 0.35])
     lrn.observe(2)
     assert lrn.p == pytest.approx((0.45, 0.45), abs=1e-12)
-    assert lrn.last_diagnostics.m == 1
+    # the step the learner took pooled the whole chain from m = 1
+    p, diag = ga_step_probabilities(g, Uniform(), [0.40, 0.35], 2, 1.0)
+    assert p == lrn.p
+    assert diag.m == 1
 
 
 def test_threshold_bidder_stationary_geometric():
