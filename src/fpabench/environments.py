@@ -236,7 +236,8 @@ def effective_competing_bid(grid: Grid, other_bids, reserve: int, scores, me: in
 
     ``scores`` are the round's tie-break draws (smaller = higher rank);
     the buyer wins ties against the top competitors only if her score
-    beats all of theirs.
+    beats all of theirs.  ``run_multi_buyer`` applies this rule to every
+    buyer in one pass; this form is its reference.
     """
     beta = max(other_bids) if other_bids else 0
     others = [j for j in range(len(scores)) if j != me]
@@ -259,13 +260,26 @@ class MultiBuyerResult:
     winner: list        # buyer id or -1 for no sale
 
 
+def _reserve_index(r, t: int, K: int) -> int:
+    try:
+        i = operator.index(r)
+    except TypeError:
+        i = -1
+    if not 0 <= i <= K:
+        raise ValueError(f"reserve {r!r} at t={t} is not a grid index in 0..{K}")
+    return i
+
+
 def run_multi_buyer(grid: Grid, distributions, learners, reserve, T: int,
                     seed: int = 0) -> MultiBuyerResult:
     """Simultaneous learners in a first-price auction with reserve and ranking.
 
     ``reserve`` is a grid index, a per-round sequence, or a callable t ->
-    index.  Ties go to the buyer with the best (lowest) ranking draw.
-    Sampled mode only: values are realized, bids are realized.
+    index; an index or a sequence is checked in full before the first
+    round.  Ties go to the buyer with the best (lowest) ranking draw.
+    Sampled mode only: values are realized, bids are realized.  Each
+    round is one pass over the buyers: every buyer's h is
+    ``effective_competing_bid`` against its strongest rival alone.
     """
     T = _check_horizon(T)
     n = len(distributions)
@@ -273,44 +287,57 @@ def run_multi_buyer(grid: Grid, distributions, learners, reserve, T: int,
         raise ValueError("need >= 2 buyers with one learner each")
     if any(lrn.grid != grid for lrn in learners):
         raise ValueError("every learner must bid on the auction's grid")
+    K = grid.K
     if callable(reserve):
-        reserve_at = reserve
+        reserve_at = lambda t: _reserve_index(reserve(t), t, K)
     else:
-        try:
-            seq = [operator.index(reserve)] * T
-        except TypeError:
-            seq = [operator.index(r) for r in reserve][:T]
+        if hasattr(reserve, "__index__") or not hasattr(reserve, "__iter__"):
+            seq = [_reserve_index(reserve, 1, K)] * T
+        else:
+            seq = [_reserve_index(r, t, K) for t, r in zip(range(1, T + 1), reserve)]
         if len(seq) < T:
             raise ValueError(f"reserve sequence covers {len(seq)} of {T} rounds")
         reserve_at = lambda t: seq[t - 1]
 
     value_u = [stream_rng(seed, VALUES, i).random(T) for i in range(n)]
-    scores_all = stream_rng(seed, RANKING).random((T, n))
+    score_rows = stream_rng(seed, RANKING).random((T, n)).tolist()
+    values = [[F.quantile(u) for u in us.tolist()] for F, us in zip(distributions, value_u)]
+    value_rows = [list(row) for row in zip(*values)]
     bids = grid.bids
-    K = grid.K
 
     res = MultiBuyerResult([], [], [], [], [], [])
-    for t in range(1, T + 1):
+    for t, vals, scores in zip(range(1, T + 1), value_rows, score_rows):
         r = reserve_at(t)
-        if not (0 <= r <= K):
-            raise ValueError("reserve index off the grid")
-        scores = scores_all[t - 1]
-        vals = [distributions[i].quantile(float(value_u[i][t - 1])) for i in range(n)]
-        bvec = [learners[i].strategy().bid_index(vals[i]) for i in range(n)]
+        bvec = [lrn.strategy().bid_index(v) for lrn, v in zip(learners, vals)]
 
-        eligible = [i for i in range(n) if bvec[i] >= r]
-        if eligible:
-            top = max(bvec[i] for i in eligible)
-            cands = [i for i in eligible if bvec[i] == top]
-            winner = min(cands, key=lambda i: scores[i])
-            revenue = bids[top]
+        # champion c (bid bc, draw sc) and runner-up (bd, sd): highest bid,
+        # ties to the lowest draw
+        c, bc, sc = 0, bvec[0], scores[0]
+        bd, sd = -1, 0.0
+        for i in range(1, n):
+            b, s = bvec[i], scores[i]
+            if b > bc or (b == bc and s < sc):
+                bd, sd = bc, sc
+                c, bc, sc = i, b, s
+            elif b > bd or (b == bd and s < sd):
+                bd, sd = b, s
+        if bc >= r:
+            winner, revenue = c, bids[bc]
         else:
             winner, revenue = -1, 0.0
 
         hs, utils = [], []
         for i in range(n):
-            others = [bvec[j] for j in range(n) if j != i]
-            h = effective_competing_bid(grid, others, r, scores, i)
+            # the runner-up is the champion's strongest rival, the champion
+            # everyone else's; outbid it if its draw ranks first
+            if i == c:
+                h = bd + 1 if sd < sc else bd
+            else:
+                h = bc + 1 if sc < scores[i] else bc
+            if h < r:
+                h = r
+            elif h > K:
+                h = UNWINNABLE
             hs.append(h)
             won = h != UNWINNABLE and bvec[i] >= h
             if won != (i == winner):

@@ -265,7 +265,8 @@ def check_regret_step(grid: Grid, before, after, benchmark, vstar: float,
     istar = bid_for_value(benchmark, vstar)
 
     def potential(v):
-        return (sum(vstar - vj for vj in v if vstar > vj) + sum(v[:istar])) / eta
+        return (_left_sum(vstar - vj for vj in v if vstar > vj)
+                + _left_sum(v[:istar])) / eta
 
     return _step_slack(grid, before, after, vstar, h, eta, istar, potential)
 
@@ -277,8 +278,8 @@ def check_ic_step(grid: Grid, before, after, report: MisreportMap, vstar: float,
     mstar = report(vstar)
 
     def potential(v):
-        return (sum(vstar - vj for vj in v if vstar > vj)
-                - sum(mstar - vj for vj in v if mstar > vj)) / eta
+        return (_left_sum(vstar - vj for vj in v if vstar > vj)
+                - _left_sum(mstar - vj for vj in v if mstar > vj)) / eta
 
     return _step_slack(grid, before, after, vstar, h, eta,
                        bid_for_value(before, mstar), potential)

@@ -1,16 +1,19 @@
 import math
+import operator
+import re
 
 import numpy as np
 import pytest
 
 from conftest import make_rng
-from fpabench.distributions import EqualRevenue, Uniform
+from fpabench.distributions import EqualRevenue, PiecewiseLinearCDF, Uniform
 from fpabench.environments import (
     AdaptiveCompetition,
     Adversary,
     DecreasingReserve,
     FixedSequence,
     LowerBoundCompetition,
+    MultiBuyerResult,
     StochasticCompetition,
     UNWINNABLE,
     effective_competing_bid,
@@ -26,7 +29,7 @@ from fpabench.learners import (
     MeanBasedBucketBidder,
     ThresholdBidder,
 )
-from fpabench.rng import ADVERSARY, stream_rng
+from fpabench.rng import ADVERSARY, RANKING, VALUES, stream_rng
 
 
 GRID = BidGrid(2, 0.25)
@@ -247,6 +250,46 @@ def test_multi_buyer_rejects_a_short_reserve_sequence_before_the_first_round():
     assert all(lrn.t == 1 for lrn in learners)
 
 
+@pytest.mark.parametrize("reserve,t,shown", [
+    (9, 1, "9"), (-1, 1, "-1"), (2.5, 1, "2.5"),
+    ([4] * 40 + [9] * 10, 41, "9"), ([4] * 7 + [3.0] * 43, 8, "3.0"),
+])
+def test_multi_buyer_rejects_an_off_grid_reserve_before_the_first_round(reserve, t, shown):
+    # unchecked, a bad sequence entry failed only when its round came up,
+    # after the learners had moved, with a message naming neither
+    g = BidGrid(4, 0.125)
+    learners = [ThresholdBidder(g, 0.01) for _ in range(3)]
+    with pytest.raises(ValueError, match=rf"reserve {re.escape(shown)} at t={t} "
+                                         r"is not a grid index in 0\.\.4"):
+        run_multi_buyer(g, [Uniform()] * 3, learners, reserve, 50, seed=7)
+    assert all(lrn.t == 1 for lrn in learners)
+
+
+@pytest.mark.parametrize("bad", [2.5, 4.0, 5, -1])
+def test_multi_buyer_rejects_a_callable_reserve_off_the_grid(bad):
+    # unchecked, 2.5 and 4.0 raised a TypeError from tuple indexing
+    g = BidGrid(4, 0.125)
+    learners = [ThresholdBidder(g, 0.01) for _ in range(3)]
+    with pytest.raises(ValueError, match=rf"reserve {re.escape(repr(bad))} at t=6 "
+                                         r"is not a grid index in 0\.\.4"):
+        run_multi_buyer(g, [Uniform()] * 3, learners, lambda t: 1 if t <= 5 else bad,
+                        50, seed=7)
+
+
+def test_multi_buyer_reads_a_callable_reserve_as_an_index():
+    # unchecked, a callable returning True wrote True into h_index
+    g = BidGrid(4, 0.125)
+
+    def run(reserve):
+        learners = [ThresholdBidder(g, 0.01) for _ in range(3)]
+        return run_multi_buyer(g, [Uniform()] * 3, learners, reserve, 200, seed=7)
+
+    got = run(lambda t: True)
+    assert all(type(h) is int for hs in got.h_index for h in hs)
+    assert repr(got.h_index) == repr(run(1).h_index)
+    assert got.revenue == run(lambda t: np.int64(1)).revenue
+
+
 @pytest.mark.parametrize("make", [
     lambda: MeanBasedBucketBidder(GRID),
     lambda: LazyRegularizedBidder(GRID, Uniform(), 0.05),
@@ -320,3 +363,108 @@ def test_run_single_buyer_rejects_a_learner_on_another_grid(K):
     with pytest.raises(ValueError, match="every learner must bid on the auction's grid"):
         run_single_buyer(g, Uniform(), lrn, adv, 100, seed=7)
     assert lrn.t == 1
+
+
+# ---------------------------------------------------------------------------
+# the one-pass multi-buyer round against the per-buyer reference loop
+
+
+def _reference_run_multi_buyer(grid, distributions, learners, reserve, T, seed):
+    """The multi-buyer loop as it was before the one-pass round: every
+    buyer's h from ``effective_competing_bid`` over the others' bids."""
+    n = len(distributions)
+    if callable(reserve):
+        reserve_at = reserve
+    else:
+        try:
+            seq = [operator.index(reserve)] * T
+        except TypeError:
+            seq = [operator.index(r) for r in reserve][:T]
+        reserve_at = lambda t: seq[t - 1]
+    value_u = [stream_rng(seed, VALUES, i).random(T) for i in range(n)]
+    scores_all = stream_rng(seed, RANKING).random((T, n))
+    bids = grid.bids
+    K = grid.K
+
+    res = MultiBuyerResult([], [], [], [], [], [])
+    for t in range(1, T + 1):
+        r = reserve_at(t)
+        assert 0 <= r <= K
+        scores = scores_all[t - 1]
+        vals = [distributions[i].quantile(float(value_u[i][t - 1])) for i in range(n)]
+        bvec = [learners[i].strategy().bid_index(vals[i]) for i in range(n)]
+
+        eligible = [i for i in range(n) if bvec[i] >= r]
+        if eligible:
+            top = max(bvec[i] for i in eligible)
+            cands = [i for i in eligible if bvec[i] == top]
+            winner = min(cands, key=lambda i: scores[i])
+            revenue = bids[top]
+        else:
+            winner, revenue = -1, 0.0
+
+        hs, utils = [], []
+        for i in range(n):
+            others = [bvec[j] for j in range(n) if j != i]
+            h = effective_competing_bid(grid, others, r, scores, i)
+            hs.append(h)
+            won = h != UNWINNABLE and bvec[i] >= h
+            assert won == (i == winner)
+            utils.append(vals[i] - bids[bvec[i]] if won else 0.0)
+            if h != UNWINNABLE:
+                learners[i].observe(h)
+
+        res.revenue.append(revenue)
+        res.h_index.append(hs)
+        res.values.append(vals)
+        res.bid_index.append(bvec)
+        res.utility.append(utils)
+        res.winner.append(winner)
+    return res
+
+
+_G4 = BidGrid(4, 0.125)
+_PWL = PiecewiseLinearCDF((0.0, 0.3, 0.7, 1.0), (0.0, 0.6, 0.7, 1.0))
+
+
+def _thresholds(n, grid=_G4, eta=0.02):
+    return lambda: [ThresholdBidder(grid, eta) for _ in range(n)]
+
+
+# name -> (grid, distributions, learner factory, reserve, T)
+MULTI_CONFIGS = {
+    **{f"threshold_n{n}": (_G4, [Uniform()] * n, _thresholds(n), 2, 600)
+       for n in range(2, 7)},
+    "reserve_zero": (_G4, [Uniform()] * 3, _thresholds(3), 0, 600),
+    "reserve_top": (_G4, [Uniform()] * 3, _thresholds(3), 4, 600),
+    "reserve_sequence": (_G4, [Uniform()] * 3, _thresholds(3),
+                         [t % 5 for t in range(7, 607)], 600),
+    "reserve_callable": (_G4, [Uniform()] * 4, _thresholds(4),
+                         lambda t: (3 * t) % 5, 600),
+    "fixed_ties": (BidGrid(2, 0.25), [Uniform()] * 3,
+                   lambda: [FixedStrategyBidder(BidGrid(2, 0.25), (0.25, 1.0))
+                            for _ in range(3)], 0, 2000),
+    "k1_unwinnable": (BidGrid(1, 0.25), [Uniform()] * 2,
+                      lambda: [ThresholdBidder(BidGrid(1, 0.25), 0.02),
+                               FixedStrategyBidder(BidGrid(1, 0.25), (0.25,))], 0, 800),
+    "equirev_pwl": (_G4, [EqualRevenue(0.1), _PWL, EqualRevenue(0.1), _PWL],
+                    _thresholds(4, eta=0.05), 1, 800),
+    "threshold_fixed_mix": (_G4, [Uniform(), EqualRevenue(0.1), Uniform(), _PWL, Uniform()],
+                            lambda: [ThresholdBidder(_G4, 0.03),
+                                     FixedStrategyBidder(_G4, (0.25, 0.5, 0.5, 0.75)),
+                                     ThresholdBidder(_G4, 0.01),
+                                     FixedStrategyBidder(_G4, (0.25, 0.5, 0.5, 0.75)),
+                                     FixedStrategyBidder(_G4, (0.2, 0.4, 1.0, 1.0))],
+                            3, 800),
+}
+_RESULT_FIELDS = ("revenue", "h_index", "values", "bid_index", "utility", "winner")
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("name", list(MULTI_CONFIGS))
+def test_multi_buyer_round_matches_the_reference_loop_bit_for_bit(name, seed):
+    grid, dists, make, reserve, T = MULTI_CONFIGS[name]
+    got = run_multi_buyer(grid, dists, make(), reserve, T, seed=seed)
+    want = _reference_run_multi_buyer(grid, dists, make(), reserve, T, seed)
+    for f in _RESULT_FIELDS:  # repr pins types and float bits, not just ==
+        assert repr(getattr(got, f)) == repr(getattr(want, f)), f

@@ -3,8 +3,9 @@
 Each case runs one config at one seed and hashes ``trace_rep0.csv`` and
 ``summary.json`` with its ``wall_time_s`` removed.  The configs are the
 benchmark's single_trace and oracle_path jobs, one sampled run and two
-misreporting learners on an equal-revenue prior.  A change that moves a
-digest moves a trace or a summary, and must say which and why.
+misreporting learners on an equal-revenue prior.  The multi-buyer cases
+hash the repr of every ``MultiBuyerResult`` field instead.  A change that
+moves a digest moves a trace or a summary, and must say which and why.
 """
 
 import hashlib
@@ -15,6 +16,10 @@ import pytest
 
 from fpabench import cli, metrics
 from fpabench.cli import main as cli_main
+from fpabench.distributions import EqualRevenue, Uniform
+from fpabench.environments import run_multi_buyer
+from fpabench.grids import BidGrid
+from fpabench.learners import FixedStrategyBidder, ThresholdBidder, default_eta_threshold
 
 _K4 = "grid: {K: 4, eps: 0.2}\ndist: uniform\n"
 _ST_TAIL = ("adversary: stochastic(0.3,0.25,0.2,0.15,0.1)\nT: 1500\n"
@@ -130,3 +135,58 @@ def test_golden_digests_do_not_depend_on_the_builtin_sum(tmp_path, monkeypatch, 
     for module in (cli, metrics):
         monkeypatch.setattr(module, "sum", math.fsum, raising=False)
     assert run_digests(tmp_path, name, seed) == DIGESTS[name, seed]
+
+
+# ---------------------------------------------------------------------------
+# multi-buyer runs through the library API
+
+_MB_GRID = BidGrid(4, 0.125)
+_MB_EQUIREV = EqualRevenue(0.1)
+
+
+def _benchmark_job():
+    # the shape of the benchmark's multi_buyer job: criterion 10 at T=2500
+    eta = default_eta_threshold(1.0, 2500)
+    return (_MB_GRID, [Uniform()] * 3, [ThresholdBidder(_MB_GRID, eta) for _ in range(3)],
+            4, 2500)
+
+
+MULTI_CONFIGS = {
+    "multi_buyer_job": _benchmark_job,
+    "multi_fixed_ties": lambda: (
+        BidGrid(2, 0.25), [Uniform()] * 3,
+        [FixedStrategyBidder(BidGrid(2, 0.25), (0.25, 1.0)) for _ in range(3)], 0, 2000),
+    "multi_threshold_fixed_mix": lambda: (
+        _MB_GRID, [Uniform(), _MB_EQUIREV, Uniform(), _MB_EQUIREV],
+        [ThresholdBidder(_MB_GRID, 0.03), FixedStrategyBidder(_MB_GRID, (0.25, 0.5, 0.5, 0.75)),
+         ThresholdBidder(_MB_GRID, 0.01), FixedStrategyBidder(_MB_GRID, (0.2, 0.4, 1.0, 1.0))],
+        [t % 5 for t in range(1500)], 1500),
+}
+
+# (config, seed) -> sha256 of the repr of the six MultiBuyerResult fields,
+# recorded at commit 44da525
+MULTI_DIGESTS = {
+    ("multi_buyer_job", 0):
+        "c80c74777be6645e3eccd58488cd93f546f3505076e05d6d83ed9787409c7fb0",
+    ("multi_buyer_job", 7):
+        "1934722cfdc9e6f3bc3bcced4f8892dc60bb8ecd26054b10cb128d02fb4c6711",
+    ("multi_buyer_job", 99):
+        "7ee5c3ee7b93666553c79d55e8e945a86592ff92ed32f53f1adbeee23ef58a1e",
+    ("multi_fixed_ties", 4242):
+        "885420725112b2b97fc2871b104087ea4d99d8b8f9f9188245ce2e5eeff3ab89",
+    ("multi_threshold_fixed_mix", 7):
+        "997d1e494d1ea232bd162999a3062a9331bec4397731adff88da80d07eaac17f",
+}
+
+
+def multi_digest(name, seed):
+    grid, dists, learners, reserve, T = MULTI_CONFIGS[name]()
+    res = run_multi_buyer(grid, dists, learners, reserve, T, seed=seed)
+    fields = (res.revenue, res.h_index, res.values, res.bid_index, res.utility, res.winner)
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,seed", list(MULTI_DIGESTS),
+                         ids=[f"{n}-{s}" for n, s in MULTI_DIGESTS])
+def test_golden_multi_buyer_digests(name, seed):
+    assert multi_digest(name, seed) == MULTI_DIGESTS[name, seed]
