@@ -62,6 +62,12 @@ def check_thresholds(v, grid: Grid, atol: float = DEFAULT_ATOL):
         prev = vi
 
 
+def check_bid_index(i: int, grid: Grid) -> None:
+    """Raise unless i indexes a competing bid on the grid, 0..K."""
+    if not 0 <= i <= grid.K:
+        raise ValueError(f"competing-bid index {i} outside 0..{grid.K}")
+
+
 def clamp_probabilities(p, grid: Grid, F: ValueDistribution):
     """Snap float drift back into the polytope; raise on anything larger."""
     out = []
@@ -157,8 +163,7 @@ def utility_gradient(grid: Grid, F: ValueDistribution, p, i: int):
     When the competing bid is b_0 every coordinate move only changes
     payment, so all components are negative gaps.
     """
-    if not 0 <= i <= grid.K:
-        raise ValueError(f"competing-bid index {i} outside 0..{grid.K}")
+    check_bid_index(i, grid)
     bids = grid.bids
     g = [0.0] * grid.K
     for j in range(i + 1, grid.K + 1):

@@ -13,7 +13,7 @@ exposes, in closed form:
 G is the workhorse of expected-utility formulas: E[V * 1(V > a)] equals
 G(F(a)) for atomless F, so conditional value masses never need quadrature.
 
-``cdf_array``, ``quantile_tail_integral_array`` and
+``cdf_array``, ``quantile_array``, ``quantile_tail_integral_array`` and
 ``survival_integral_array`` evaluate the same closed forms elementwise on
 a float array, with the scalar forms' operations in the scalar forms'
 order, so every element equals the scalar value bit for bit.
@@ -61,6 +61,9 @@ class ValueDistribution:
 
     def cdf_array(self, x):
         return _elementwise(self.cdf, x)
+
+    def quantile_array(self, y):
+        return _elementwise(self.quantile, y)
 
     def quantile_tail_integral_array(self, q):
         return _elementwise(self.quantile_tail_integral, q)
@@ -123,6 +126,10 @@ class Uniform(ValueDistribution):
         x = np.asarray(x, dtype=float)
         return np.where(x <= self.a, 0.0,
                         np.where(x >= self.b, 1.0, (x - self.a) / (self.b - self.a)))
+
+    def quantile_array(self, y):
+        y = np.asarray(y, dtype=float)
+        return np.where(y <= 0.0, 0.0, np.where(y >= 1.0, self.b, self.a + y * (self.b - self.a)))
 
     def quantile_tail_integral_array(self, q):
         q = np.asarray(q, dtype=float)
@@ -224,6 +231,12 @@ class EqualRevenue(ValueDistribution):
         return np.where(x <= 0.125, 0.0,
                         np.where(x < self._knee, middle,
                                  np.where(x >= 1.0, 1.0, 1.0 - (1.0 - x) / self._c)))
+
+    def quantile_array(self, y):
+        y = np.asarray(y, dtype=float)
+        low = 1.0 / (8.0 * (1.0 - np.minimum(y, self._ystar)))  # no 1/0; used where y <= _ystar
+        inner = np.where(y <= self._ystar, low, 1.0 - self._c * (1.0 - y))
+        return np.where(y <= 0.0, 0.0, np.where(y >= 1.0, 1.0, inner))
 
     def quantile_tail_integral_array(self, q):
         q = np.asarray(q, dtype=float)
@@ -343,6 +356,15 @@ class PiecewiseLinearCDF(ValueDistribution):
         t = (x - xs[k]) / (xs[k + 1] - xs[k])
         inner = ys[k] + t * (ys[k + 1] - ys[k])
         return np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, inner))
+
+    def quantile_array(self, y):
+        y = np.asarray(y, dtype=float)
+        xs, ys = np.asarray(self.xs), np.asarray(self.ys)
+        k = np.clip(np.searchsorted(ys, y, side="left"), 1, len(ys) - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (y - ys[k - 1]) / (ys[k] - ys[k - 1])
+        inner = np.where(ys[k] == y, xs[k], xs[k - 1] + t * (xs[k] - xs[k - 1]))
+        return np.where(y <= 0.0, 0.0, np.where(y >= 1.0, self.quantile(1.0), inner))
 
     def quantile_tail_integral_array(self, q):
         q = np.asarray(q, dtype=float)

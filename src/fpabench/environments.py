@@ -168,7 +168,8 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
         raise ValueError("every learner must bid on the auction's grid")
     adversary.prepare(T, grid.K, stream_rng(seed, ADVERSARY))
     sampled = mode == "sampled"
-    value_u = stream_rng(seed, VALUES).random(T) if sampled else None
+    # mapped up front, appended round by round: an adversary sees past values only
+    values = F.quantile_array(stream_rng(seed, VALUES).random(T)).tolist() if sampled else None
 
     kind = getattr(learner, "kind", None)
     state = ROBUSTNESS_STATE.get(kind) if check_steps else None
@@ -193,7 +194,7 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
         plays.record(strat)
 
         if sampled:
-            val = F.quantile(float(value_u[t - 1]))
+            val = values[t - 1]
             b = strat.bid_index(val)
             won = b >= h
             tr.value.append(val)
@@ -299,10 +300,9 @@ def run_multi_buyer(grid: Grid, distributions, learners, reserve, T: int,
             raise ValueError(f"reserve sequence covers {len(seq)} of {T} rounds")
         reserve_at = lambda t: seq[t - 1]
 
-    value_u = [stream_rng(seed, VALUES, i).random(T) for i in range(n)]
+    value_rows = np.column_stack([F.quantile_array(stream_rng(seed, VALUES, i).random(T))
+                                  for i, F in enumerate(distributions)]).tolist()
     score_rows = stream_rng(seed, RANKING).random((T, n)).tolist()
-    values = [[F.quantile(u) for u in us.tolist()] for F, us in zip(distributions, value_u)]
-    value_rows = [list(row) for row in zip(*values)]
     bids = grid.bids
 
     res = MultiBuyerResult([], [], [], [], [], [])

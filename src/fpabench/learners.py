@@ -15,6 +15,7 @@ import numpy as np
 
 from .auction import (
     CLAMP_TOL,
+    check_bid_index,
     check_probabilities,
     check_thresholds,
     thresholds_from_probabilities,
@@ -22,12 +23,7 @@ from .auction import (
 )
 from .distributions import ValueDistribution
 from .grids import BidGrid, Grid
-from .projection import (
-    ga_step_probabilities,
-    ga_step_thresholds,
-    probability_polytope,
-    project_oracle,
-)
+from .projection import _chain_step, ga_step_probabilities, probability_polytope, project_oracle
 from .strategies import BucketStrategy, ComposedStrategy, MisreportMap, Strategy, ThresholdStrategy
 
 
@@ -139,12 +135,18 @@ class ThresholdBidder(Learner):
             raise ValueError(f"step size must be positive and finite, got {eta}")
         self.t = 1
         self.last_eta = eta
+        self._strategy = ThresholdStrategy(grid, tuple(self.v))
 
     def strategy(self) -> ThresholdStrategy:
-        return ThresholdStrategy(self.grid, tuple(self.v))
+        return self._strategy
 
     def observe(self, h: int) -> None:
-        self.v, _ = ga_step_thresholds(self.grid, self.v, h, self.eta)
+        # ga_step_thresholds unchecked: v1 was checked, later v are the step's output
+        check_bid_index(h, self.grid)
+        g = self.eta * (self.v[h - 1] - self.grid.bids[h]) if h else 0.0
+        v = _chain_step(self.v, h, g, self.eta * self.grid.eps, 1.0, self.grid.bids[1:], "v")[0]
+        if v != self.v:  # thresholds are positive, so equal means the same bits
+            self.v, self._strategy = v, ThresholdStrategy(self.grid, tuple(v))
         self.t += 1
 
 
@@ -168,15 +170,19 @@ class MeanBasedBucketBidder(Learner):
         self._mids = (np.arange(buckets) + 0.5) / buckets
         self._table = np.zeros((buckets, grid.K + 1))
         self._choice = tuple([0] * buckets)
+        self._strategy = BucketStrategy(grid, self._choice)
         self.t = 1
         self.last_eta = math.nan
 
     def strategy(self) -> BucketStrategy:
-        return BucketStrategy(self.grid, self._choice)
+        return self._strategy
 
     def observe(self, h: int) -> None:
+        check_bid_index(h, self.grid)
         self._table[:, h:] += self._mids[:, None] - self._bids[None, h:]
-        self._choice = tuple(np.argmax(self._table, axis=1).tolist())
+        choice = tuple(np.argmax(self._table, axis=1).tolist())
+        if choice != self._choice:
+            self._choice, self._strategy = choice, BucketStrategy(self.grid, choice)
         self.t += 1
 
 
@@ -227,6 +233,7 @@ class MisreportingBidder(Learner):
         self.inner = inner
         self.report = report
         self.grid = inner.grid
+        self._strategy = None
 
     @property
     def t(self) -> int:
@@ -237,7 +244,10 @@ class MisreportingBidder(Learner):
         return self.inner.last_eta
 
     def strategy(self) -> ComposedStrategy:
-        return ComposedStrategy(self.inner.strategy(), self.report)
+        inner = self.inner.strategy()
+        if self._strategy is None or self._strategy.inner is not inner:
+            self._strategy = ComposedStrategy(inner, self.report)
+        return self._strategy
 
     def observe(self, h: int) -> None:
         self.inner.observe(h)
@@ -252,11 +262,13 @@ class FixedStrategyBidder(Learner):
         check_thresholds(v, grid)
         self.grid = grid
         self.v = tuple(v)
+        self._strategy = ThresholdStrategy(grid, self.v)
         self.t = 1
         self.last_eta = math.nan
 
     def strategy(self) -> ThresholdStrategy:
-        return ThresholdStrategy(self.grid, self.v)
+        return self._strategy
 
     def observe(self, h: int) -> None:
+        check_bid_index(h, self.grid)
         self.t += 1

@@ -4,8 +4,8 @@ The two learners update by a gradient step followed by a Euclidean
 projection onto their polytope (bidding probabilities or thresholds).
 Both are one O(K) closed form on a non-decreasing chain, ``_chain_step``:
 a pooled block [m, i] around the competing bid, a translated stretch
-(i, ell), and a saturated tail.  The threshold step runs it on v; the
-probability step runs it on -p and negates the result.
+(i, ell), a saturated tail, and the clamp's drift snap in one output pass.
+The threshold step runs it on v; the probability step on -p, negated.
 
 ``project_oracle`` is an independent exact solver for the generic chain
 polytope (monotone vector with per-coordinate box bounds), used as ground
@@ -22,10 +22,10 @@ from typing import NamedTuple
 
 from .auction import (
     CLAMP_TOL,
+    _check_drift,
+    check_bid_index,
     check_probabilities,
     check_thresholds,
-    clamp_probabilities,
-    clamp_thresholds,
     threshold_margin,
 )
 from .distributions import ValueDistribution
@@ -48,46 +48,50 @@ def _step_size(grid: Grid, i: int, eta: float) -> float:
         raise TypeError("closed-form updates require a uniform bid grid")
     if not 0.0 < eta < math.inf:
         raise ValueError(f"step size eta must be positive and finite, got {eta}")
-    if not (0 <= i <= grid.K):
-        raise ValueError(f"competing-bid index {i} outside 0..{grid.K}")
+    check_bid_index(i, grid)
     return eta * grid.eps
 
 
-def _chain_step(q, i: int, g: float, step: float, floor: float, ceil: float):
+def _chain_step(q, i: int, g: float, step: float, ceil: float, lo, name: str):
     """Closed-form projected step on a non-decreasing chain capped by ceil.
 
-    Coordinate i takes the gain g >= 0 and must stay at or above floor;
-    every coordinate above i moves up by step.  Returns the point with m,
-    ell and the pooled value x (m = 0 and x = nan when i = 0, where every
-    coordinate just moves up).  The argument order of min and max fixes
-    the sign of zeros that the probability step's negation relies on.
+    Coordinate i takes the gain g >= 0 and every coordinate above i moves
+    up by step; coordinate k stays at or above lo[k - 1].  The output pass
+    is the clamp's, max(min(o, ceil), prev, lo_k); a larger correction than
+    float drift raises, naming ``name``_k.  Returns the point, m, ell and
+    the pooled value x (m = 0, x = nan when i = 0: every coordinate moves
+    up).  The argument order of min and max, spelled out as comparisons,
+    fixes the sign of zeros that the probability step's negation relies on.
     """
     K = len(q)
     top = ceil - step - _SLACK
     ell = next((j for j in range(i + 1, K + 1) if q[j - 1] >= top), K + 1)
     if i == 0:
-        return [min(ceil, qj + step) for qj in q], 0, ell, math.nan
+        out, m, x = [min(ceil, qj + step) for qj in q], 0, math.nan
+    else:
+        # scan the pooled-block start downward; both conditions are monotone,
+        # so the first failure ends the scan
+        floor = lo[i - 1]
+        m = i
+        total = q[i - 1]  # sum of q_k over k in [m, i]
+        for j in range(i - 1, 0, -1):
+            cand = total + q[j - 1]
+            if q[j - 1] < floor - _SLACK or cand - (i - j + 1) * q[j - 1] > g + _SLACK:
+                break
+            m, total = j, cand
 
-    # scan the pooled-block start downward; both conditions are monotone,
-    # so the first failure ends the scan
-    m = i
-    total = q[i - 1]  # sum of q_k over k in [m, i]
-    for j in range(i - 1, 0, -1):
-        cand = total + q[j - 1]
-        if q[j - 1] < floor - _SLACK:
-            break
-        if cand - (i - j + 1) * q[j - 1] > g + _SLACK:
-            break
-        m = j
-        total = cand
+        x = max(min(ceil, (total - g) / (i - m + 1)), floor)
+        out = list(q[: m - 1]) + [x] * (i - m + 1) + [qj + step for qj in q[i : ell - 1]]
+        out += [ceil] * (K + 1 - ell)
 
-    x = max(min(ceil, (total - g) / (i - m + 1)), floor)
-
-    out = list(q[: m - 1])
-    out.extend([x] * (i - m + 1))
-    for j in range(i + 1, ell):
-        out.append(q[j - 1] + step)
-    out.extend([ceil] * (K + 1 - ell))
+    prev = lo[0]  # the clamps started lower, at 0 and -1; lo[0] gives the same
+    for k, (o, f) in enumerate(zip(out, lo)):
+        c = ceil if ceil < o else o
+        c = prev if prev > c else c
+        prev = f if f > c else c
+        if prev != o:  # NaN too
+            _check_drift(name, k + 1, o, prev)
+            out[k] = prev
     return out, m, ell, x
 
 
@@ -96,16 +100,14 @@ def ga_step_probabilities(grid: Grid, F: ValueDistribution, p, i: int, eta: floa
 
     Returns the projection of p + eta * grad onto the probability polytope,
     together with diagnostics.  The competing bid is b_i.  Runs the chain
-    step on -p, which is non-decreasing with floor -(1 - F(b_i)) at i.
+    step on -p: non-decreasing, floors -(1 - F(b_j)), ceiling -0.0.
     """
     step = _step_size(grid, i, eta)
     check_probabilities(p, grid, F, atol=CLAMP_TOL)
-    b = grid.bids[i]
-    g = eta * threshold_margin(F, p[i - 1], b) if i else 0.0
-    floor = -(1.0 - F.cdf(b)) if i else 0.0
-    out, m, ell, x = _chain_step([-pj for pj in p], i, g, step, floor, -0.0)
-    return (clamp_probabilities([-t for t in out], grid, F),
-            ProjectionDiagnostics(m, ell, -x, i - m + 1 if i else 0))
+    g = eta * threshold_margin(F, p[i - 1], grid.bids[i]) if i else 0.0
+    lo = [-(1.0 - F.cdf(b)) for b in grid.bids[1:]]
+    out, m, ell, x = _chain_step([-pj for pj in p], i, g, step, -0.0, lo, "-p")
+    return [-t for t in out], ProjectionDiagnostics(m, ell, -x, i - m + 1 if i else 0)
 
 
 def ga_step_thresholds(grid: Grid, v, i: int, eta: float):
@@ -116,10 +118,9 @@ def ga_step_thresholds(grid: Grid, v, i: int, eta: float):
     """
     step = _step_size(grid, i, eta)
     check_thresholds(v, grid, atol=CLAMP_TOL)
-    b = grid.bids[i]
-    g = eta * (v[i - 1] - b) if i else 0.0
-    out, m, ell, x = _chain_step(v, i, g, step, b, 1.0)
-    return clamp_thresholds(out, grid), ProjectionDiagnostics(m, ell, x, i - m + 1 if i else 0)
+    g = eta * (v[i - 1] - grid.bids[i]) if i else 0.0
+    out, m, ell, x = _chain_step(v, i, g, step, 1.0, grid.bids[1:], "v")
+    return out, ProjectionDiagnostics(m, ell, x, i - m + 1 if i else 0)
 
 
 # ---------------------------------------------------------------------------

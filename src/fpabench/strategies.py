@@ -20,7 +20,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .auction import (
-    bid_for_value,
     probabilities_from_strategy,
     revenue_for_h,
     revenue_rows,
@@ -50,7 +49,8 @@ class Strategy:
 
 
 class Plays:
-    """The strategy of every round of a run, stored once per run of equal rounds.
+    """The strategy of every round of a run, stored once per run of rounds
+    that played the same object (fresh equal objects get one entry each).
 
     A learner plays one strategy class for the whole run; ``exact_columns``
     hands the log to that class's columnar accounting.
@@ -61,7 +61,7 @@ class Plays:
         self.rounds = []  # how many consecutive rounds each entry was played
 
     def record(self, strategy: Strategy) -> None:
-        if self.plays and strategy == self.plays[-1]:
+        if self.plays and strategy is self.plays[-1]:
             self.rounds[-1] += 1
         else:
             self.plays.append(strategy)
@@ -84,7 +84,7 @@ class ThresholdStrategy(Strategy):
         return self.thresholds
 
     def bid_index(self, value: float) -> int:
-        return bid_for_value(self.thresholds, value)
+        return bisect.bisect_left(self.thresholds, value)
 
     def exact_utility(self, F: ValueDistribution, h: int) -> float:
         p = probabilities_from_strategy(self.grid, F, self.thresholds)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_rng
-from fpabench.distributions import EqualRevenue, PiecewiseLinearCDF, Uniform
+from fpabench.distributions import EqualRevenue, PiecewiseLinearCDF, Uniform, ValueDistribution
 from fpabench.verify import random_distribution
 
 
@@ -138,3 +140,37 @@ def test_array_forms_match_the_scalar_forms_bit_for_bit():
             got = array_form(x)
             want = [scalar(v) for v in x.tolist()]
             assert got.tolist() == want, (F, scalar.__name__)
+
+
+# knot levels drawn from a small set, so flat segments (y1 == y2, a level
+# at 0 or at 1) and y exactly on a knot are common
+_LEVEL = st.one_of(st.sampled_from([0.0, 0.2, 0.5, 1.0]), st.floats(0.0, 1.0))
+_QUANTILE_DISTRIBUTIONS = st.one_of(
+    st.just(Uniform()),
+    st.floats(0.0, 0.6).flatmap(
+        lambda a: st.floats(a + 0.05, 1.0).map(lambda b: Uniform(a, b))),
+    st.floats(0.01, 0.8).map(EqualRevenue),
+    st.tuples(_LEVEL, _LEVEL).map(
+        lambda ys: PiecewiseLinearCDF((0.0, 0.3, 0.7, 1.0), (0.0, min(ys), max(ys), 1.0))),
+)
+
+
+def _special_levels(F):
+    """y in {0, 1}, just inside them, EqualRevenue's knee level, every PWL knot."""
+    ys = [0.0, -0.0, 1.0, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)]
+    if isinstance(F, EqualRevenue):
+        ys += [F._ystar, math.nextafter(F._ystar, 0.0), math.nextafter(F._ystar, 1.0)]
+    if isinstance(F, PiecewiseLinearCDF):
+        ys += list(F.ys) + [0.5 * (a + b) for a, b in zip(F.ys, F.ys[1:])]
+    return ys
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(F=_QUANTILE_DISTRIBUTIONS, ys=st.lists(st.floats(-0.25, 1.25), max_size=30))
+def test_quantile_array_matches_the_scalar_quantile_bit_for_bit(F, ys):
+    y = np.array(ys + _special_levels(F))
+    want = [F.quantile(v) for v in y.tolist()]
+    # repr tells -0.0 from 0.0; the base form loops the scalar one
+    assert repr(F.quantile_array(y).tolist()) == repr(want)
+    assert repr(ValueDistribution.quantile_array(F, y).tolist()) == repr(want)
+    assert F.quantile_array(y.reshape(1, -1)).shape == (1, len(y))

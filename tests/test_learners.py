@@ -3,11 +3,19 @@ import math
 import pytest
 
 from conftest import make_rng
+from fpabench import strategies
 from fpabench.auction import check_thresholds
 from fpabench.distributions import EqualRevenue, Uniform
-from fpabench.grids import BidGrid
+from fpabench.environments import (
+    DecreasingReserve,
+    FixedSequence,
+    StochasticCompetition,
+    run_single_buyer,
+)
+from fpabench.grids import BidGrid, IrregularBidGrid
 from fpabench.learners import (
     FixedStep,
+    FixedStrategyBidder,
     GradientBidder,
     HarmonicStep,
     LazyRegularizedBidder,
@@ -217,3 +225,102 @@ def test_start_points_are_checked_at_the_clamp_tolerance():
     lrn = GradientBidder(grid, Uniform(), FixedStep(0.01), p1=[0.75, 0.5])
     lrn.observe(2)
     ThresholdBidder(grid, 0.01, v1=[0.25, 0.6]).observe(2)
+
+
+_G4 = BidGrid(4, 0.2)
+_QUARTER = MisreportMap((0.0, 0.5, 1.0), (0.0, 0.25, 1.0))
+LEARNERS = {
+    "alg1": lambda: GradientBidder(_G4, Uniform(), FixedStep(0.05)),
+    "alg1_irregular": lambda: GradientBidder(
+        IrregularBidGrid((0.0, 0.1, 0.3, 0.35, 0.6)), Uniform(), FixedStep(0.05)),
+    "alg2": lambda: ThresholdBidder(_G4, 0.05),
+    "ftl": lambda: MeanBasedBucketBidder(_G4, 8),
+    "lazyftrl": lambda: LazyRegularizedBidder(_G4, Uniform(), 0.05),
+    "misreport": lambda: MisreportingBidder(MeanBasedBucketBidder(_G4, 8), _QUARTER),
+    "fixed": lambda: FixedStrategyBidder(_G4, (0.2, 0.4, 0.6, 0.8)),
+}
+
+
+@pytest.mark.parametrize("h", [-1, 5])
+@pytest.mark.parametrize("kind", list(LEARNERS))
+def test_observe_rejects_a_competing_bid_off_the_grid(kind, h):
+    # -1 is the multi-buyer UNWINNABLE sentinel; as a slice start it would
+    # credit bid K
+    lrn = LEARNERS[kind]()
+    before = lrn.strategy()
+    with pytest.raises(ValueError, match=rf"competing-bid index {h} outside 0\.\.4$"):
+        lrn.observe(h)
+    assert lrn.t == 1
+    assert lrn.strategy() == before
+    lrn.observe(2)  # still usable
+    assert lrn.t == 2
+
+
+@pytest.mark.parametrize("kind", ["alg2", "ftl", "misreport", "fixed"])
+def test_strategy_is_one_object_until_the_state_changes(kind):
+    lrn = LEARNERS[kind]()
+    rng = make_rng(56)
+    changes = 0
+    for h in rng.integers(0, 5, size=300):
+        s = lrn.strategy()
+        assert lrn.strategy() is s
+        lrn.observe(int(h))
+        new = lrn.strategy()
+        changes += new is not s
+        # a new object exactly when the strategy differs
+        assert (new is s) == (new == s)
+    if kind == "fixed":
+        assert changes == 0
+    else:
+        assert 0 < changes < 300
+
+
+def test_misreport_reuses_its_strategy_while_the_inner_one_is_unchanged():
+    lrn = LEARNERS["misreport"]()
+    for h in [4] * 40 + [1] * 40:
+        inner, s = lrn.inner.strategy(), lrn.strategy()
+        lrn.observe(h)
+        assert (lrn.strategy() is s) == (lrn.inner.strategy() is inner)
+
+
+# Plays entries of each run as counted when Plays.record compared strategies
+# by value; by identity the counts must stay, since a learner returns one
+# object per state
+PLAYS_RUNS = {
+    "alg2_stochastic": (lambda: ThresholdBidder(_G4, 0.05),
+                        lambda: StochasticCompetition((0.3, 0.25, 0.2, 0.15, 0.1)),
+                        Uniform(), 600),
+    "alg2_saturating": (lambda: ThresholdBidder(_G4, 0.05),
+                        lambda: FixedSequence([0] * 300 + [2] * 300), Uniform(), 300),
+    "ftl_reserve": (lambda: MeanBasedBucketBidder(_G4, 64),
+                    lambda: DecreasingReserve(300, 3, 1), EqualRevenue(0.1), 29),
+    "misreport_ftl": (lambda: MisreportingBidder(MeanBasedBucketBidder(_G4, 64), _QUARTER),
+                      lambda: DecreasingReserve(300, 3, 1), EqualRevenue(0.1), 29),
+}
+
+
+@pytest.mark.parametrize("name", list(PLAYS_RUNS))
+def test_plays_entry_counts_are_unchanged_by_the_identity_dedupe(name, monkeypatch):
+    make, adversary, F, want = PLAYS_RUNS[name]
+    sizes = []
+    columns = strategies.Plays.exact_columns
+
+    def spy(self, F, h):
+        sizes.append(len(self.plays))
+        return columns(self, F, h)
+
+    monkeypatch.setattr(strategies.Plays, "exact_columns", spy)
+    run_single_buyer(_G4, F, make(), adversary(), 600, seed=4, check_steps=False,
+                     benchmark="final")
+    assert sizes == [want]
+
+
+def test_plays_accounts_fresh_equal_strategies_without_compressing_them():
+    plays = strategies.Plays()
+    for _ in range(3):
+        plays.record(strategies.ThresholdStrategy(_G4, (0.2, 0.4, 0.6, 0.8)))
+    assert plays.rounds == [1, 1, 1]
+    util, rev = plays.exact_columns(Uniform(), [0, 2, 4])
+    s = plays.plays[0]
+    assert util.tolist() == [s.exact_utility(Uniform(), h) for h in (0, 2, 4)]
+    assert rev.tolist() == [s.exact_revenue(Uniform(), h) for h in (0, 2, 4)]
