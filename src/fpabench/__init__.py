@@ -42,7 +42,6 @@ from .learners import (
 )
 from .metrics import (
     BenchmarkReport,
-    RobustnessReport,
     check_ic_step,
     check_regret_step,
     check_robustness_step,
@@ -52,7 +51,6 @@ from .metrics import (
     potential_euclidean,
     potential_threshold_revenue,
     pseudo_regret,
-    robustness_report,
     strong_concavity_modulus,
 )
 from .projection import (

@@ -75,12 +75,6 @@ class ValueDistribution:
     def mean(self) -> float:
         return self.quantile_tail_integral(0.0)
 
-    def sample(self, rng, n: int | None = None):
-        """Inverse-transform sampling using ``rng.random``."""
-        if n is None:
-            return self.quantile(rng.random())
-        return [self.quantile(u) for u in rng.random(n)]
-
 
 @dataclass(frozen=True)
 class Uniform(ValueDistribution):
@@ -309,7 +303,7 @@ class PiecewiseLinearCDF(ValueDistribution):
         if y <= 0.0:
             return 0.0
         if y >= 1.0:
-            return xs[len(ys) - 1 - ys[::-1].index(1.0)]
+            return xs[ys.index(1.0)]
         k = bisect.bisect_left(ys, y)
         if ys[k] == y:
             return xs[k]
@@ -372,14 +366,17 @@ class PiecewiseLinearCDF(ValueDistribution):
         q = np.maximum(q, 0.0)
         xs, ys = self.xs, self.ys
         total = np.zeros(q.shape)
-        for k in range(len(xs) - 1):
-            dy = ys[k + 1] - ys[k]
-            if dy <= 0.0:
-                continue
-            lo = np.maximum(q, ys[k])
-            dx = xs[k + 1] - xs[k]
-            qa = xs[k] + (lo - ys[k]) / dy * dx
-            total += np.where(ys[k + 1] <= q, 0.0, 0.5 * (qa + xs[k + 1]) * (ys[k + 1] - lo))
+        # a subnormal rise dy can overflow qa, but only where ys[k + 1] <= q,
+        # which the scalar form skips and np.where drops
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(len(xs) - 1):
+                dy = ys[k + 1] - ys[k]
+                if dy <= 0.0:
+                    continue
+                lo = np.maximum(q, ys[k])
+                dx = xs[k + 1] - xs[k]
+                qa = xs[k] + (lo - ys[k]) / dy * dx
+                total += np.where(ys[k + 1] <= q, 0.0, 0.5 * (qa + xs[k + 1]) * (ys[k + 1] - lo))
         return np.where(top, 0.0, total)
 
     def survival_integral_array(self, x):

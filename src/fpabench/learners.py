@@ -73,11 +73,19 @@ def default_eta_threshold(fbar: float, T: int) -> float:
 # learners
 
 
+def _probability_strategy(grid: Grid, F: ValueDistribution, p) -> ThresholdStrategy:
+    return ThresholdStrategy(grid, tuple(thresholds_from_probabilities(grid, F, p)))
+
+
 class Learner:
+    """``strategy()`` returns ``_strategy``, which a learner rebuilds only
+    when ``observe`` changes the state it is built from."""
+
     kind: str
+    _strategy: Strategy
 
     def strategy(self) -> Strategy:
-        raise NotImplementedError
+        return self._strategy
 
     def observe(self, h: int) -> None:
         raise NotImplementedError
@@ -102,20 +110,20 @@ class GradientBidder(Learner):
         self.last_eta = policy.at(1)
         self._closed_form = isinstance(grid, BidGrid)
         self._poly = None if self._closed_form else probability_polytope(grid, F)
-
-    def strategy(self) -> ThresholdStrategy:
-        v = thresholds_from_probabilities(self.grid, self.F, self.p)
-        return ThresholdStrategy(self.grid, tuple(v))
+        self._strategy = _probability_strategy(grid, F, self.p)
 
     def observe(self, h: int) -> None:
         eta = self.policy.at(self.t)
         self.last_eta = eta
         if self._closed_form:
-            self.p, _ = ga_step_probabilities(self.grid, self.F, self.p, h, eta)
+            p, _ = ga_step_probabilities(self.grid, self.F, self.p, h, eta)
         else:
             g = utility_gradient(self.grid, self.F, self.p, h)
             q = [pj + eta * gj for pj, gj in zip(self.p, g)]
-            self.p = project_oracle(self._poly, q)
+            p = project_oracle(self._poly, q)
+        if p != self.p:  # p enters only as 1 - p_j: equal p, +-0 included, gives equal bits
+            self._strategy = _probability_strategy(self.grid, self.F, p)
+        self.p = p
         self.t += 1
 
 
@@ -136,9 +144,6 @@ class ThresholdBidder(Learner):
         self.t = 1
         self.last_eta = eta
         self._strategy = ThresholdStrategy(grid, tuple(self.v))
-
-    def strategy(self) -> ThresholdStrategy:
-        return self._strategy
 
     def observe(self, h: int) -> None:
         # ga_step_thresholds unchecked: v1 was checked, later v are the step's output
@@ -174,9 +179,6 @@ class MeanBasedBucketBidder(Learner):
         self.t = 1
         self.last_eta = math.nan
 
-    def strategy(self) -> BucketStrategy:
-        return self._strategy
-
     def observe(self, h: int) -> None:
         check_bid_index(h, self.grid)
         self._table[:, h:] += self._mids[:, None] - self._bids[None, h:]
@@ -207,18 +209,18 @@ class LazyRegularizedBidder(Learner):
         self.p = list(self.p1)
         self._gsum = [0.0] * grid.K
         self._poly = probability_polytope(grid, F)
+        self._strategy = _probability_strategy(grid, F, self.p)
         self.t = 1
         self.last_eta = eta
-
-    def strategy(self) -> ThresholdStrategy:
-        v = thresholds_from_probabilities(self.grid, self.F, self.p)
-        return ThresholdStrategy(self.grid, tuple(v))
 
     def observe(self, h: int) -> None:
         g = utility_gradient(self.grid, self.F, self.p, h)
         self._gsum = [a + b for a, b in zip(self._gsum, g)]
         q = [a + self.eta * s for a, s in zip(self.p1, self._gsum)]
-        self.p = project_oracle(self._poly, q)
+        p = project_oracle(self._poly, q)
+        if p != self.p:  # as in GradientBidder.observe
+            self._strategy = _probability_strategy(self.grid, self.F, p)
+        self.p = p
         self.t += 1
 
 
@@ -265,9 +267,6 @@ class FixedStrategyBidder(Learner):
         self._strategy = ThresholdStrategy(grid, self.v)
         self.t = 1
         self.last_eta = math.nan
-
-    def strategy(self) -> ThresholdStrategy:
-        return self._strategy
 
     def observe(self, h: int) -> None:
         check_bid_index(h, self.grid)

@@ -17,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 from .auction import (
-    best_fixed_utility,
     best_fixed_utility_rows,
     bid_for_value,
     check_thresholds,
@@ -118,17 +117,14 @@ def pseudo_regret(trace, F: ValueDistribution, grid: Grid) -> BenchmarkReport:
 
     A fixed strategy's total utility depends on the h-sequence only
     through its empirical distribution, so the benchmark is T times the
-    best fixed utility under the empirical d.
+    best fixed utility under the empirical d (``benchmark_columns``'s
+    final value).
     """
     if trace.exp_utility is None:
         raise ValueError("pseudo-regret needs an exact-mode trace")
     T = len(trace.h_index)
-    counts = [0] * (grid.K + 1)
-    for h in trace.h_index:
-        counts[h] += 1
-    per_round, _ = best_fixed_utility(grid, F, tuple(c / T for c in counts))
+    benchmark_total = float(benchmark_columns(grid, F, trace.h_index, final=True)[0]) * T
     learner_total = _left_sum(trace.exp_utility)
-    benchmark_total = per_round * T
     return BenchmarkReport(benchmark_total, learner_total, benchmark_total - learner_total)
 
 
@@ -286,7 +282,7 @@ def check_ic_step(grid: Grid, before, after, report: MisreportMap, vstar: float,
 
 
 # ---------------------------------------------------------------------------
-# incentive-compatibility gap and robustness report
+# incentive-compatibility gap and the guarantee caps
 
 
 def ic_gap(trace_truthful, trace_misreport) -> float:
@@ -305,27 +301,6 @@ def guarantee_caps(K: int, T: int, fbar: float) -> dict:
         "revenue_excess_cap_alg2": 2.0 * math.sqrt(fbar) * K * math.sqrt(T),
         "ic_gap_cap_alg2": 8.0 * K * math.sqrt(fbar) * math.sqrt(T),
     }
-
-
-@dataclass(frozen=True)
-class RobustnessReport:
-    total_revenue: float
-    myerson_total: float
-    excess: float
-    theoretical_cap: float
-    min_slack: float
-
-
-def robustness_report(trace, F: ValueDistribution, grid: Grid, kind: str) -> RobustnessReport:
-    T = len(trace.h_index)
-    total_rev = _left_sum(trace.exp_revenue)
-    mye_total = myerson_revenue(F)[0] * T
-    cap = guarantee_caps(grid.K, T, F.density_bound).get(f"revenue_excess_cap_{kind}")
-    if cap is None:
-        raise ValueError(f"unknown kind {kind!r}")
-    slacks = [s for s in trace.slack if not math.isnan(s)]
-    return RobustnessReport(total_rev, mye_total, total_rev - mye_total, cap,
-                            min(slacks) if slacks else math.nan)
 
 
 def strong_concavity_modulus(F: ValueDistribution, d) -> float:

@@ -6,9 +6,11 @@ closed form from the value distribution (no sampling), which is what keeps
 regret and robustness measurements noise-free.
 
 A run records its strategies in a ``Plays`` log and accounts for them
-after the loop: ``exact_columns`` gives each strategy shape, threshold and
-piecewise (bucket and misreported), one columnar kernel that returns, bit
-for bit, the scalar ``exact_utility`` and ``exact_revenue`` of every round.
+after the loop: ``exact_columns`` gives each strategy shape one columnar
+kernel.  Threshold strategies go through the probability rows of
+``utility_rows``/``revenue_rows``; piecewise strategies (bucket and
+misreported) have no other accounting path.  ``ThresholdStrategy`` keeps
+its scalar ``exact_utility``/``exact_revenue`` for single-play callers.
 """
 
 from __future__ import annotations
@@ -34,12 +36,6 @@ class Strategy:
     """Value -> bid index; ``edges`` are the values where the bid may change."""
 
     def bid_index(self, value: float) -> int:
-        raise NotImplementedError
-
-    def exact_utility(self, F: ValueDistribution, h: int) -> float:
-        raise NotImplementedError
-
-    def exact_revenue(self, F: ValueDistribution, h: int) -> float:
         raise NotImplementedError
 
     @classmethod
@@ -101,42 +97,17 @@ class ThresholdStrategy(Strategy):
         return (utility_rows(grid, F, p)[run, h], revenue_rows(grid, p)[run, h])
 
 
-def piece_masses(F: ValueDistribution, edges: tuple[float, ...]):
-    """dF and E[V 1(V in piece)] of each piece of [0, 1] cut at the interior edges."""
-    cdf = [F.cdf(c) for c in (0.0,) + edges + (1.0,)]
-    tail = [F.quantile_tail_integral(c) for c in cdf]
-    return (tuple([b - a for a, b in zip(cdf, cdf[1:])]),
-            tuple([a - b for a, b in zip(tail, tail[1:])]))
-
-
 class PiecewiseStrategy(Strategy):
     """Bid ``piece_bids[b]`` on the b-th piece of [0, 1] cut at ``edges``;
     exact accounting is one pass over the piece masses."""
 
-    def exact_utility(self, F: ValueDistribution, h: int) -> float:
-        df, ev = piece_masses(F, self.edges)
-        bids = self.grid.bids
-        total = 0.0
-        for j, mass, value_mass in zip(self.piece_bids, df, ev):
-            if j >= h:
-                total += value_mass - bids[j] * mass
-        return total
-
-    def exact_revenue(self, F: ValueDistribution, h: int) -> float:
-        df, _ = piece_masses(F, self.edges)
-        bids = self.grid.bids
-        total = 0.0
-        for j, mass in zip(self.piece_bids, df):
-            if j >= h:
-                total += bids[j] * mass
-        return total
-
     @classmethod
     def exact_columns(cls, F, plays, run, h):
-        # one (play, h) table, each cell summed over the pieces in the order
-        # exact_utility sums them.  Plays that share a partition share one
-        # masses row (the array forms give piece_masses's bits); shorter
-        # plays are padded with massless pieces, cut at 1.0, which add +0.0.
+        # one (play, h) table: each cell sums, piece by piece from the left,
+        # E[V 1(V in piece)] - b dF (utility) and b dF (revenue) over the
+        # pieces whose bid wins against h.  Plays that share a partition
+        # share one masses row; shorter plays are padded with massless
+        # pieces, cut at 1.0, which add +0.0.
         rows = {}
         row = [rows.setdefault(s.edges, len(rows)) for s in plays]
         n = max(map(len, rows)) + 1  # pieces per padded play

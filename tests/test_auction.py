@@ -99,7 +99,7 @@ def test_utility_monte_carlo_cross_check():
     p = [0.6, 0.3, 0.2]
     v = thresholds_from_probabilities(g, F, p)
     n = 400_000
-    vals = np.array(F.sample(rng, n))
+    vals = F.quantile_array(rng.random(n))
     for h in range(4):
         idx = np.array([bid_for_value(v, float(x)) for x in vals])
         win = idx >= h

@@ -3,16 +3,17 @@
 Every round of the vectorized prefix benchmark, the row accounting, the
 strategies' columnar accounting and the robustness columns must equal the
 scalar ``best_fixed_utility``, ``utility_for_h``, ``revenue_for_h``,
-``exact_utility``/``exact_revenue`` and ``check_robustness_step`` bit for
-bit, on both grid kinds, K from 1 to 32, every distribution kind, and
-competing-bid sequences that leave bids unplayed (repeated slopes).
-Misreported plays mix shared and per-play partitions and piece counts.
+``ThresholdStrategy.exact_utility``/``exact_revenue``, the frozen piecewise
+accounting in ``conftest`` and ``check_robustness_step`` bit for bit, on
+both grid kinds, K from 1 to 32, every distribution kind, and competing-bid
+sequences that leave bids unplayed (repeated slopes).  Misreported plays
+mix shared and per-play partitions and piece counts.
 """
 
 import numpy as np
 import pytest
 
-from conftest import make_rng
+from conftest import former_revenue, former_utility, make_rng
 from fpabench import strategies
 from fpabench.auction import (
     best_fixed_utility,
@@ -112,8 +113,11 @@ def _check_plays(F, h, pool, rng, k):
         plays.record(s)
     util, rev = plays.exact_columns(F, h)
     for t, (s, hi) in enumerate(zip(played, h.tolist())):
-        assert util[t] == s.exact_utility(F, hi), (k, t)
-        assert rev[t] == s.exact_revenue(F, hi), (k, t)
+        if isinstance(s, ThresholdStrategy):
+            want = s.exact_utility(F, hi), s.exact_revenue(F, hi)
+        else:
+            want = former_utility(s, F, hi), former_revenue(s, F, hi)
+        assert (util[t], rev[t]) == want, (k, t)
 
 
 @pytest.mark.parametrize("kind", ["threshold", "bucket", "composed"])

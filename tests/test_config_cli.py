@@ -174,6 +174,21 @@ def test_cli_bounds_come_from_the_metrics_cap_table(tmp_path):
     assert {k: bounds[k] for k in guarantee_caps(2, 50, 1.0)} == guarantee_caps(2, 50, 1.0)
 
 
+def test_cli_summary_carries_the_revenue_totals(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL.replace("dist: uniform", "dist: equirev(0.1)")
+                   .replace("T: 10000", "T: 400"))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads((out / "summary.json").read_text())["replications"][0]
+    total = 0.0  # the CSV's exp_revenue column, summed left to right
+    for row in (out / "trace_rep0.csv").read_text().splitlines()[1:]:
+        total += float(row.split(",")[4])
+    assert rep["revenue_total"] == total
+    assert rep["revenue_excess"] == total - 0.125 * 400  # Myerson revenue 1/8 per round
+    assert rep["min_slack"] >= -1e-8
+
+
 # three sampled replications, so a three-worker run uses the process pool
 THREE_REPS = MINIMAL.replace("T: 10000", "T: 200") + "mode: sampled\nreplications: 3\n"
 

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_rng
+from fpabench.auction import threshold_margin, thresholds_from_probabilities
 from fpabench.distributions import EqualRevenue, PiecewiseLinearCDF, Uniform, ValueDistribution
+from fpabench.grids import BidGrid
 from fpabench.verify import random_distribution
 
 
@@ -60,6 +62,19 @@ def test_pwl_cdf_quantile_round_trip():
         assert F.cdf(F.quantile(float(y))) == pytest.approx(float(y), abs=1e-12)
 
 
+def test_pwl_quantile_of_one_is_the_first_point_where_f_reaches_one():
+    # a flat top: F(0.5) = 1, so F^-(1) = inf{v : F(v) >= 1} = 0.5, not 1
+    F = PiecewiseLinearCDF((0.0, 0.5, 1.0), (0.0, 1.0, 1.0))
+    assert F.quantile(1.0) == 0.5
+    assert F.quantile_array([0.5, 1.0, 1.5]).tolist() == [0.25, 0.5, 0.5]
+    # a learner's start point, p = 0, bids up to where values end
+    assert threshold_margin(F, 0.0, 0.25) == 0.25
+    assert thresholds_from_probabilities(BidGrid(2, 0.25), F, [0.0, 0.0]) == [0.5, 0.5]
+    # a flat top after several rising segments
+    G = PiecewiseLinearCDF((0.0, 0.4, 0.7, 1.0), (0.0, 0.6, 1.0, 1.0))
+    assert G.quantile(1.0) == G.quantile_array(1.0) == 0.7
+
+
 def test_pwl_validation():
     with pytest.raises(ValueError):
         PiecewiseLinearCDF((0.0, 1.0), (0.0, 0.9))
@@ -110,7 +125,7 @@ def test_tail_integral_is_decreasing_and_concave():
 def test_inverse_transform_sampling_mean():
     F = EqualRevenue(0.1)
     rng = make_rng(14)
-    xs = np.array(F.sample(rng, 200_000))
+    xs = F.quantile_array(rng.random(200_000))
     se = xs.std() / math.sqrt(len(xs))
     assert abs(xs.mean() - F.mean) <= 3.0 * se
 

@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from fpabench import cli, metrics
+from fpabench import cli, metrics, strategies
 from fpabench.cli import main as cli_main
 from fpabench.distributions import EqualRevenue, Uniform
 from fpabench.environments import run_multi_buyer
@@ -135,6 +135,35 @@ def test_golden_digests_do_not_depend_on_the_builtin_sum(tmp_path, monkeypatch, 
     for module in (cli, metrics):
         monkeypatch.setattr(module, "sum", math.fsum, raising=False)
     assert run_digests(tmp_path, name, seed) == DIGESTS[name, seed]
+
+
+# (config, seed) -> Plays entries of the run: a gradient or lazy learner
+# rebuilds its strategy only when p changes, so a round that leaves p as it
+# was repeats the previous entry (alg1 moves p in nearly every round)
+PLAYS_ENTRIES = {
+    ("oracle_path_lazyftrl", 4242): 384,
+    ("oracle_path_lazyftrl", 7): 356,
+    ("oracle_path_lazyftrl", 99): 369,
+    ("single_trace_alg1", 4242): 1500,
+    ("single_trace_alg1", 99): 1498,
+}
+
+
+@pytest.mark.parametrize("name,seed", list(PLAYS_ENTRIES),
+                         ids=[f"{n}-{s}" for n, s in PLAYS_ENTRIES])
+def test_golden_plays_entry_counts(tmp_path, monkeypatch, name, seed):
+    sizes = []
+    columns = strategies.Plays.exact_columns
+
+    def spy(self, F, h):
+        sizes.append(len(self.plays))
+        return columns(self, F, h)
+
+    monkeypatch.setattr(strategies.Plays, "exact_columns", spy)
+    cfg = tmp_path / f"{name}.yaml"
+    cfg.write_text(CONFIGS[name])
+    assert cli_main(["run", "--config", str(cfg), "--seed", str(seed)]) == 0
+    assert sizes == [PLAYS_ENTRIES[name, seed]]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import make_rng
+from conftest import make_rng, play_columns
 from fpabench import strategies
 from fpabench.auction import check_thresholds
 from fpabench.distributions import EqualRevenue, Uniform
@@ -166,9 +166,9 @@ def test_misreport_identity_is_transparent():
     rng = make_rng(54)
     F = EqualRevenue(0.1)
     for h in rng.integers(0, 3, size=200):
+        util, _ = play_columns(wrapped.strategy(), F)
         for hh in range(3):
-            assert wrapped.strategy().exact_utility(F, hh) == pytest.approx(
-                plain.strategy().exact_utility(F, hh), abs=1e-12)
+            assert util[hh] == pytest.approx(plain.strategy().exact_utility(F, hh), abs=1e-12)
         plain.observe(int(h))
         wrapped.observe(int(h))
 
@@ -256,7 +256,7 @@ def test_observe_rejects_a_competing_bid_off_the_grid(kind, h):
     assert lrn.t == 2
 
 
-@pytest.mark.parametrize("kind", ["alg2", "ftl", "misreport", "fixed"])
+@pytest.mark.parametrize("kind", list(LEARNERS))
 def test_strategy_is_one_object_until_the_state_changes(kind):
     lrn = LEARNERS[kind]()
     rng = make_rng(56)

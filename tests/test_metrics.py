@@ -20,7 +20,6 @@ from fpabench.metrics import (
     potential_euclidean,
     potential_threshold_revenue,
     pseudo_regret,
-    robustness_report,
     strong_concavity_modulus,
 )
 from fpabench.metrics import _myerson_by_search
@@ -198,30 +197,3 @@ def test_strong_concavity_modulus_values():
         0.05 / 8.0)
     with pytest.raises(ValueError):
         strong_concavity_modulus(Uniform(), (0.0, 0.0))
-
-
-def test_robustness_report_totals():
-    g = BidGrid(2, 0.125)
-    F = EqualRevenue(0.1)
-    lrn = ThresholdBidder(g, 0.02)
-    tr = run_single_buyer(g, F, lrn, StochasticCompetition((0.2, 0.4, 0.4)),
-                          400, seed=5, benchmark="final")
-    rep = robustness_report(tr, F, g, "alg2")
-    assert rep.excess == pytest.approx(rep.total_revenue - 0.125 * 400, abs=1e-9)
-    assert rep.min_slack >= -1e-8
-    assert rep.theoretical_cap == pytest.approx(
-        2.0 * math.sqrt(8.0) * 2 * math.sqrt(400), abs=1e-9)
-
-
-def test_robustness_report_reads_the_cap_table():
-    from fpabench.metrics import guarantee_caps
-    g = BidGrid(2, 0.125)
-    F = EqualRevenue(0.1)
-    tr = run_single_buyer(g, F, ThresholdBidder(g, 0.02),
-                          StochasticCompetition((0.2, 0.4, 0.4)), 100, benchmark="final")
-    caps = guarantee_caps(2, 100, F.density_bound)
-    for kind in ("alg1", "alg2"):
-        assert (robustness_report(tr, F, g, kind).theoretical_cap
-                == caps[f"revenue_excess_cap_{kind}"])
-    with pytest.raises(ValueError, match="unknown kind"):
-        robustness_report(tr, F, g, "ftl")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_rng
+from conftest import former_revenue, former_utility, make_rng, play_columns
 from fpabench.distributions import EqualRevenue, PiecewiseLinearCDF, Uniform
 from fpabench.grids import BidGrid
 from fpabench.projection import threshold_polytope
@@ -12,7 +12,6 @@ from fpabench.strategies import (
     ComposedStrategy,
     MisreportMap,
     ThresholdStrategy,
-    piece_masses,
 )
 from fpabench.verify import random_distribution, random_feasible
 
@@ -22,7 +21,7 @@ QUARTER_MAP = MisreportMap((0.0, 0.5, 0.5, 1.0), (0.0, 0.5, 0.25, 0.25))
 
 
 def mc_utility(strategy, F, h, rng, n=300_000):
-    vals = np.array(F.sample(rng, n))
+    vals = F.quantile_array(rng.random(n))
     bids = np.array(strategy.grid.bids)
     idx = np.array([strategy.bid_index(float(x)) for x in vals])
     payoff = (vals - bids[idx]) * (idx >= h)
@@ -30,7 +29,7 @@ def mc_utility(strategy, F, h, rng, n=300_000):
 
 
 def mc_revenue(strategy, F, h, rng, n=300_000):
-    vals = np.array(F.sample(rng, n))
+    vals = F.quantile_array(rng.random(n))
     bids = np.array(strategy.grid.bids)
     idx = np.array([strategy.bid_index(float(x)) for x in vals])
     payment = bids[idx] * (idx >= h)
@@ -59,11 +58,12 @@ def test_bucket_strategy_exact_matches_sampling():
     rng = make_rng(41)
     F = Uniform()
     s = BucketStrategy(GRID2, (0, 2, 1, 2))  # deliberately non-monotone
+    util, rev = play_columns(s, F)
     for h in range(3):
         mean, se = mc_utility(s, F, h, rng)
-        assert s.exact_utility(F, h) == pytest.approx(mean, abs=3.5 * se + 1e-9)
+        assert util[h] == pytest.approx(mean, abs=3.5 * se + 1e-9)
         mean, se = mc_revenue(s, F, h, rng)
-        assert s.exact_revenue(F, h) == pytest.approx(mean, abs=3.5 * se + 1e-9)
+        assert rev[h] == pytest.approx(mean, abs=3.5 * se + 1e-9)
 
 
 def test_misreport_map_evaluation():
@@ -89,11 +89,10 @@ def test_composed_with_identity_changes_nothing():
     F = EqualRevenue(0.1)
     inner = ThresholdStrategy(GRID2, (0.25, 0.5))
     comp = ComposedStrategy(inner, MisreportMap.identity())
+    util, rev = play_columns(comp, F)
     for h in range(3):
-        assert comp.exact_utility(F, h) == pytest.approx(
-            inner.exact_utility(F, h), abs=1e-12)
-        assert comp.exact_revenue(F, h) == pytest.approx(
-            inner.exact_revenue(F, h), abs=1e-12)
+        assert util[h] == pytest.approx(inner.exact_utility(F, h), abs=1e-12)
+        assert rev[h] == pytest.approx(inner.exact_revenue(F, h), abs=1e-12)
 
 
 def test_composed_bid_matches_pointwise_composition():
@@ -112,9 +111,10 @@ def test_composed_exact_matches_sampling():
     F = EqualRevenue(0.1)
     inner = ThresholdStrategy(GRID2, (0.2, 0.3))
     comp = ComposedStrategy(inner, QUARTER_MAP)
+    util, _ = play_columns(comp, F)
     for h in range(3):
         mean, se = mc_utility(comp, F, h, rng)
-        assert comp.exact_utility(F, h) == pytest.approx(mean, abs=3.5 * se + 1e-9)
+        assert util[h] == pytest.approx(mean, abs=3.5 * se + 1e-9)
 
 
 def test_composed_pieces_cover_unit_interval():
@@ -131,57 +131,11 @@ def test_composed_pieces_cover_unit_interval():
         for a, c, j in zip(cuts, cuts[1:], comp.piece_bids):
             for w in np.linspace(a + 1e-9, c - 1e-9, 7):
                 assert comp.bid_index(float(w)) == j
-        df, ev = piece_masses(F, comp.edges)
-        assert len(df) == len(ev) == len(comp.piece_bids)
-        assert sum(df) == pytest.approx(1.0, abs=1e-12)
-        assert sum(ev) == pytest.approx(F.mean, abs=1e-12)
-
-
-# Frozen copy of the accounting the piece table replaced: breakpoints rebuilt
-# and cdf / G evaluated per piece on every call.  Kept to pin the table's
-# results bit for bit.
-
-def _former_breakpoints(strategy):
-    if isinstance(strategy, BucketStrategy):
-        return [b / strategy.buckets for b in range(1, strategy.buckets)]
-    return list(strategy.thresholds)
-
-
-def _former_pieces(comp):
-    M = comp.report
-    pts = set(M.xs)
-    segments = [(M.xs[k], M.xs[k + 1], M.ys[k], M.ys[k + 1])
-                for k in range(len(M.xs) - 1) if M.xs[k + 1] > M.xs[k]]
-    for x0, x1, y0, y1 in segments:
-        if y1 == y0:
-            continue
-        slope = (y1 - y0) / (x1 - x0)
-        lo, hi = min(y0, y1), max(y0, y1)
-        for w in _former_breakpoints(comp.inner):
-            if lo < w <= hi:
-                pts.add(x0 + (w - y0) / slope)
-    cuts = [0.0] + sorted(t for t in pts if 0.0 < t < 1.0) + [1.0]
-    return [(a, c, comp.bid_index(0.5 * (a + c))) for a, c in zip(cuts, cuts[1:]) if c > a]
-
-
-def _former_utility(comp, F, h):
-    bids = comp.grid.bids
-    total = 0.0
-    for a, c, j in _former_pieces(comp):
-        if j >= h:
-            fa, fc = F.cdf(a), F.cdf(c)
-            ev = F.quantile_tail_integral(fa) - F.quantile_tail_integral(fc)
-            total += ev - bids[j] * (fc - fa)
-    return total
-
-
-def _former_revenue(comp, F, h):
-    bids = comp.grid.bids
-    total = 0.0
-    for a, c, j in _former_pieces(comp):
-        if j >= h:
-            total += bids[j] * (F.cdf(c) - F.cdf(a))
-    return total
+        # the pieces' masses dF and E[V 1(V in piece)] add up to 1 and E[V]
+        cdf = F.cdf_array(cuts)
+        tail = F.quantile_tail_integral_array(cdf)
+        assert np.sum(np.diff(cdf)) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(-np.diff(tail)) == pytest.approx(F.mean, abs=1e-12)
 
 
 def _random_map(rng, snap):
@@ -217,6 +171,7 @@ def test_composed_accounting_matches_former_bit_for_bit():
             snap += list(inner.thresholds)
         comp = ComposedStrategy(inner, _random_map(rng, snap))
         for F in kinds:
+            util, rev = play_columns(comp, F)
             for h in range(K + 1):
-                assert comp.exact_utility(F, h) == _former_utility(comp, F, h)
-                assert comp.exact_revenue(F, h) == _former_revenue(comp, F, h)
+                assert util[h] == former_utility(comp, F, h)
+                assert rev[h] == former_revenue(comp, F, h)
