@@ -18,12 +18,21 @@ from .auction import (
     check_bid_index,
     check_probabilities,
     check_thresholds,
+    threshold_margin,
     thresholds_from_probabilities,
     utility_gradient,
 )
 from .distributions import ValueDistribution
 from .grids import BidGrid, Grid
-from .projection import _chain_step, ga_step_probabilities, probability_polytope, project_oracle
+# no learner calls ga_step_probabilities any more, but perfbench's tests read
+# this module's binding of it, so it stays imported
+from .projection import (  # noqa: F401
+    _chain_step,
+    _step_size,
+    ga_step_probabilities,
+    probability_polytope,
+    project_oracle,
+)
 from .strategies import BucketStrategy, ComposedStrategy, MisreportMap, Strategy, ThresholdStrategy
 
 
@@ -108,15 +117,22 @@ class GradientBidder(Learner):
         check_probabilities(self.p, grid, F, atol=CLAMP_TOL)
         self.t = 1
         self.last_eta = policy.at(1)
-        self._closed_form = isinstance(grid, BidGrid)
-        self._poly = None if self._closed_form else probability_polytope(grid, F)
+        if isinstance(grid, BidGrid):  # the chain step's floors, -(1 - F(b_j))
+            self._floors, self._poly = [-(1.0 - F.cdf(b)) for b in grid.bids[1:]], None
+        else:
+            self._floors, self._poly = None, probability_polytope(grid, F)
         self._strategy = _probability_strategy(grid, F, self.p)
 
     def observe(self, h: int) -> None:
         eta = self.policy.at(self.t)
         self.last_eta = eta
-        if self._closed_form:
-            p, _ = ga_step_probabilities(self.grid, self.F, self.p, h, eta)
+        if self._poly is None:
+            # ga_step_probabilities minus its check of p: p1 was checked, later p
+            # are the step's output
+            step = _step_size(self.grid, h, eta)
+            g = eta * threshold_margin(self.F, self.p[h - 1], self.grid.bids[h]) if h else 0.0
+            out = _chain_step([-pj for pj in self.p], h, g, step, -0.0, self._floors, "-p")[0]
+            p = [-t for t in out]
         else:
             g = utility_gradient(self.grid, self.F, self.p, h)
             q = [pj + eta * gj for pj, gj in zip(self.p, g)]

@@ -10,14 +10,17 @@ The threshold step runs it on v; the probability step on -p, negated.
 ``project_oracle`` is an independent exact solver for the generic chain
 polytope (monotone vector with per-coordinate box bounds), used as ground
 truth for the closed forms: pool-adjacent-violators over blocks whose
-value is their mean clipped to the block's box, verified on every call.
-It deliberately shares no code with them.
+value is their mean clipped to the block's box.  Every call verifies
+feasibility and first-order optimality in one O(K) pass; the O(K^2) block
+scan runs only to decide and name a possible violation.  The oracle
+deliberately shares no code with the closed forms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .auction import (
@@ -32,6 +35,7 @@ from .distributions import ValueDistribution
 from .grids import BidGrid, Grid
 
 _SLACK = 1e-12  # comparison slack toward inclusion in the m / ell scans
+_EPS = sys.float_info.epsilon  # 2^-52
 
 
 class ProjectionDiagnostics(NamedTuple):
@@ -134,14 +138,22 @@ class ChainPolytope:
     increasing: bool
     lower: tuple[float, ...]
     upper: tuple[float, ...]
+    # (lower, upper) of the non-decreasing chain the oracle solves: these,
+    # or for a non-increasing chain those of -x, (-upper, -lower)
+    _rising: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = tuple(float(a) for a in self.lower)
         hi = tuple(float(b) for b in self.upper)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "_rising", (lo, hi) if self.increasing else
+                           (tuple(-b for b in hi), tuple(-a for a in lo)))
         if len(lo) != len(hi) or not lo:
             raise ValueError("lower/upper bounds must be non-empty and match")
+        for j, (a, b) in enumerate(zip(lo, hi)):
+            if a != a or b != b:  # max(-inf, nan) below would keep -inf
+                raise ValueError(f"NaN bound at coordinate {j}: lower {a}, upper {b}")
         # the running max of the floors, taken in the direction the chain
         # rises, must fit under every ceiling (this covers each box too)
         run = -math.inf
@@ -181,22 +193,20 @@ def project_oracle(poly: ChainPolytope, q):
 
     Runs pool-adjacent-violators over clipped blocks (see
     ``_project_increasing``) and then, on every call, checks feasibility
-    and first-order optimality over all contiguous block directions in
-    O(K^2) (see ``_verify_block_optimality``).
+    and first-order optimality over all contiguous block directions (see
+    ``_verify_block_optimality``): one O(K) pass; the block scan runs only
+    to decide and name a possible violation.
     """
-    q = [float(t) for t in q]
+    q = list(map(float, q))
     if len(q) != len(poly.lower):
         raise ValueError("dimension mismatch")
     if not all(map(math.isfinite, q)):
         raise ValueError(f"cannot project a non-finite point {q}")
     if poly.increasing:
-        x = _project_increasing(q, poly.lower, poly.upper)
+        x = _project_increasing(q, *poly._rising)
     else:
         # negate: non-increasing x maps to non-decreasing -x with swapped bounds
-        y = _project_increasing([-t for t in q],
-                                [-b for b in poly.upper],
-                                [-a for a in poly.lower])
-        x = [-t for t in y]
+        x = [-t for t in _project_increasing([-t for t in q], *poly._rising)]
     _verify_block_optimality(poly, q, x)
     return x
 
@@ -242,8 +252,94 @@ def _verify_block_optimality(poly: ChainPolytope, q, x, tol: float = 1e-10, act:
     its upper (lower) bound and the chain neighbour it would approach is
     more than ``act`` away.  It violates optimality when it may move and
     its summed residual exceeds ``tol * (b - a + 1)`` in that direction.
+    Every call runs one O(K) pass, ``_screen_blocks``; the block scan,
+    ``_scan_blocks``, runs only to decide and name a possible violation,
+    so a verdict and its message are the scan's.
+    """
+    if not _screen_blocks(poly, q, x, tol, act):
+        _scan_blocks(poly, q, x, tol, act)
+
+
+def _screen_blocks(poly: ChainPolytope, q, x, tol: float, act: float) -> bool:
+    """True only if ``_scan_blocks`` would pass these arguments.
+
+    One pass over the coordinates makes the comparisons of
+    ``poly.contains(x, atol=act)`` and runs one Kadane recurrence per
+    direction.  With r = q - x, the running value is the best float sum of
+    r_k - tol ("up") or -r_k - tol ("down") over the blocks ending at k
+    that the scan's start and inside flags allow; it is recorded wherever
+    the scan's end flag holds.  A block violates exactly when its sum is
+    positive.
+
+    Rounding bound: with u = 2^-53 and S = sum|r| + n |tol|, the screen's
+    block sums and the scan's (its running sum against tol * (b - a + 1))
+    each stray from the exact sum by at most gamma_n S, gamma_n =
+    n u / (1 - n u).  Rounded addition is monotone and a sum restarts only
+    from at most 0, so a recorded best is at least the screen's sum of any
+    block it covers.  A best of at most -2 n eps S, eps = 2^-52, which
+    exceeds 2 gamma_n S for n < 2^40, therefore proves that every block the
+    scan visits passes.  The screen gives up on a failed comparison, a length
+    mismatch, an act that is negative or NaN, or a 2S that is inf or NaN;
+    a finite 2S keeps every partial sum clear of overflow.
+    """
+    lo, up = poly.lower, poly.upper
+    n = len(x)
+    if len(q) != n or len(lo) != n or not act >= 0.0:
+        return False
+    cols = zip(q, x, lo, up)
+    if not poly.increasing:
+        # read backwards, a non-increasing chain rises, and the scan's flags
+        # for it become the non-decreasing chain's flags, comparison for
+        # comparison: up blocks start anywhere and end below a gap, down
+        # blocks start above a gap and end anywhere
+        cols = zip(reversed(q), reversed(x), reversed(lo), reversed(up))
+    # e_*: best sum over the allowed blocks ending at the coordinate, -inf
+    # when none is; a block restarts where one may start and e_* <= 0.
+    # best: the largest e_* recorded in either direction
+    ninf = -math.inf
+    e_up = e_dn = best = ninf
+    total = 0.0
+    xp = ninf  # opens both directions at the first coordinate
+    for qj, xj, lj, uj in cols:
+        # contains' comparisons, skipped only where the flag tested first
+        # implies them: with act >= 0, rounding keeps u - act <= u + act,
+        # l + act >= l - act and x - act <= x
+        if xp < xj - act:  # up blocks ending at the previous coordinate count
+            if e_up > best:
+                best = e_up
+        elif not xj - xp >= -act:
+            return False
+        if e_dn > best:
+            best = e_dn
+        r = qj - xj
+        total += r if r >= 0.0 else -r
+        if xj < uj - act:
+            d = r - tol
+            e_up = e_up + d if e_up > 0.0 else d
+        elif xj <= uj + act:
+            e_up = ninf
+        else:
+            return False
+        if xj > lj + act:
+            d = -r - tol
+            e_dn = d if e_dn <= 0.0 and xj > xp + act else e_dn + d
+        elif lj - act <= xj:
+            e_dn = ninf
+        else:
+            return False
+        xp = xj
+    bound = total + n * abs(tol)
+    if not 2.0 * bound < math.inf:
+        return False
+    margin = 2.0 * n * _EPS * bound
+    return max(best, e_up, e_dn) <= -margin
+
+
+def _scan_blocks(poly: ChainPolytope, q, x, tol: float, act: float):
+    """The decision and its message: feasibility, then every block.
+
     The per-coordinate conditions are computed once and carried as running
-    flags while b grows, so the check is O(K^2).  Both flags only turn
+    flags while b grows, so the scan is O(K^2).  Both flags only turn
     false as b grows, so the inner scan stops once neither can hold.
     Blocks are visited in (a, b) order and "up" is tested before "down",
     so the first violating block is the one reported.

@@ -27,6 +27,7 @@ from fpabench.learners import (
 )
 from fpabench.projection import ga_step_probabilities
 from fpabench.strategies import MisreportMap
+from fpabench.verify import random_distribution
 
 
 def test_default_step_sizes():
@@ -189,6 +190,35 @@ def test_gradient_bidder_oracle_path_on_irregular_grid():
     for h in rng.integers(0, 4, size=100):
         lrn.observe(int(h))
         check_thresholds(lrn.strategy().thresholds, g)
+
+
+def test_gradient_bidder_steps_bit_for_bit_like_the_checked_step():
+    rng = make_rng(121)
+    for _ in range(40):
+        K = int(rng.integers(1, 9))
+        grid = BidGrid(K, float(1.0 / (K + int(rng.integers(1, 3)))))
+        F = random_distribution(rng)
+        policy = FixedStep(0.05) if rng.random() < 0.5 else HarmonicStep(1.0, 0.5)
+        lrn = GradientBidder(grid, F, policy)
+        p = list(lrn.p)
+        for t, h in enumerate(rng.integers(0, K + 1, size=150), start=1):
+            lrn.observe(int(h))
+            p, _ = ga_step_probabilities(grid, F, p, int(h), policy.at(t))
+            assert list(map(float.hex, lrn.p)) == list(map(float.hex, p))
+
+
+class _StepThenNaN:
+    def at(self, t):
+        return 0.05 if t < 3 else math.nan
+
+
+def test_gradient_bidder_checks_each_rounds_step_size():
+    lrn = GradientBidder(BidGrid(2, 0.25), Uniform(), _StepThenNaN())
+    lrn.observe(1)
+    lrn.observe(2)
+    with pytest.raises(ValueError, match="step size eta must be positive and finite"):
+        lrn.observe(1)
+    assert lrn.t == 3
 
 
 def test_threshold_bidder_rejects_irregular_grid():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_rng
+from fpabench import projection
 from fpabench.auction import (
     check_probabilities,
     check_thresholds,
@@ -15,8 +16,15 @@ from fpabench.auction import (
 )
 from fpabench.distributions import EqualRevenue, PiecewiseLinearCDF, Uniform
 from fpabench.grids import BidGrid, IrregularBidGrid
+from fpabench.learners import (
+    FixedStep,
+    GradientBidder,
+    LazyRegularizedBidder,
+    default_eta_known_f,
+)
 from fpabench.projection import (
     ChainPolytope,
+    _screen_blocks,
     _verify_block_optimality,
     ga_step_probabilities,
     ga_step_thresholds,
@@ -121,6 +129,17 @@ def test_oracle_rejects_infeasible_polytope():
     ChainPolytope(False, (0.0, 0.0), (0.5, 0.8))
 
 
+@pytest.mark.parametrize("j, lower, upper", [
+    (1, (0.0, math.nan), (1.0, 1.0)),
+    (0, (0.0, 0.0), (math.nan, 1.0)),
+])
+def test_chain_polytope_rejects_nan_bounds(j, lower, upper):
+    # max(-inf, nan) keeps -inf, so the feasibility scan alone let these pass
+    for increasing in (True, False):
+        with pytest.raises(ValueError, match=f"NaN bound at coordinate {j}"):
+            ChainPolytope(increasing, lower, upper)
+
+
 def test_closed_form_matches_oracle_fuzz():
     rng = make_rng(30)
     for _ in range(1500):
@@ -218,6 +237,118 @@ def test_block_check_matches_reference_fuzz():
         raised += want is not None
     # both verdicts must be exercised for the comparison to mean anything
     assert 2000 < raised < 18000
+
+
+ACT = 1e-9  # _verify_block_optimality's default tie and bound tolerance
+TOL = 1e-10  # and its per-coordinate residual tolerance
+
+
+def _threshold_case(rng):
+    """A chain point whose block [a, b] sums its residual to within a few
+    ulps of the scan's threshold, tol * (b - a + 1) up or its negative down,
+    with coordinates on a bound, within act of one, or tied within act."""
+    K = int(rng.integers(1, 65))
+    a = int(rng.integers(0, K))
+    b = int(rng.integers(a, K))
+    # a non-decreasing lattice chain, zero on [a, b] and mostly clear of
+    # it on either side; negated when decreasing
+    y = np.sort(rng.integers(-2, 3, K) / 4.0)
+    y[:a] = np.minimum(y[:a], -0.25 * (rng.random() < 0.7))
+    y[a:b + 1] = 0.0
+    y[b + 1:] = np.maximum(y[b + 1:], 0.25 * (rng.random() < 0.7))
+    increasing = bool(rng.random() < 0.5)
+    if not increasing:
+        y = -y
+    # each bound touches y, lies within act of it, or is clear of it; a
+    # long block can move only when its bounds are all clear
+    slack = [0.0, ACT / 2, 0.25]
+    lo = y - rng.choice(slack, K)
+    up = y + rng.choice(slack, K)
+    if rng.random() < 0.7:
+        lo[a:b + 1] = -0.25
+        up[a:b + 1] = 0.25
+    poly = ChainPolytope(increasing, tuple(lo), tuple(up))
+    x = y + rng.choice([0.0] * 6 + [ACT / 2, -ACT / 2], K)
+    x[b] = 0.0  # so that r_b = q_b exactly
+    q = x + (rng.random(K) < 0.2) * rng.normal(size=K) * 1e-11
+    # residuals over [a, b): the threshold per coordinate plus noise, from
+    # a few ulps of tol up to 1e300
+    sign = 1.0 if rng.random() < 0.5 else -1.0
+    spread = float(rng.choice([0.0, 3e-26, 1e-13, 1e-3, 1e300]))
+    q[a:b] = x[a:b] + sign * TOL + rng.normal(size=b - a) * spread
+    s = 0.0
+    for qj, xj in zip(q[a:b], x[a:b]):
+        s += float(qj) - float(xj)
+    rb = sign * TOL * (b - a + 1) - s
+    ulps = int(rng.integers(-3, 4))
+    for _ in range(abs(ulps)):
+        rb = float(np.nextafter(rb, math.copysign(math.inf, ulps)))
+    q[b] = rb
+    return poly, [float(t) for t in q], [float(t) for t in x]
+
+
+def _oracle_case(rng):
+    """An oracle output on a generic chain, maybe nudged off the optimum;
+    residuals near 1e300 push every coordinate onto a bound."""
+    K = int(rng.integers(1, 65))
+    poly = _random_chain(rng, K)
+    q = rng.random(K) * 1.6 - 0.3
+    if rng.random() < 0.3:  # tied inputs, some on the bounds
+        q = np.round(q * 4) / 4
+        q[rng.random(K) < 0.2] = poly.lower[0]
+    q = [float(t) for t in q * rng.choice([1.0, 1.0, 1e300])]
+    x = project_oracle(poly, q)
+    if rng.random() < 0.5:
+        j = int(rng.integers(0, K))
+        x[j] += float(rng.choice([1e-6, -1e-6, 1.5e-10, -1.5e-10, ACT, -ACT]))
+    return poly, q, x
+
+
+def test_block_screen_keeps_the_scan_verdicts_fuzz():
+    """The O(K) screen may only pass points the frozen reference passes, so
+    every verdict and message stays the reference's."""
+    rng = make_rng(120)
+    screened = raised = near_raised = near_passed = 0
+    for k in range(3000):
+        threshold = k % 2 == 0
+        poly, q, x = _threshold_case(rng) if threshold else _oracle_case(rng)
+        want = _verdict(_reference_block_check, poly, q, x)
+        assert _verdict(_verify_block_optimality, poly, q, x) == want
+        screened += _screen_blocks(poly, q, x, TOL, ACT)
+        raised += want is not None
+        near_raised += threshold and want is not None and "KKT" in want
+        near_passed += threshold and want is None
+    # the screen decides often, and both verdicts occur at the threshold
+    assert screened > 600
+    assert raised > 400
+    assert near_raised > 100 and near_passed > 100
+
+
+def test_oracle_learners_never_reach_the_block_scan(monkeypatch):
+    """On the oracle-backed learners' own points the O(K) screen decides."""
+    screens, scans = [], []
+
+    def screen(*args):
+        screens.append(None)
+        return real_screen(*args)
+
+    real_screen = projection._screen_blocks
+    monkeypatch.setattr(projection, "_screen_blocks", screen)
+    monkeypatch.setattr(projection, "_scan_blocks", lambda *args: scans.append(args))
+    T = 2000
+    eta = default_eta_known_f(8, T)
+    learners = [
+        LazyRegularizedBidder(BidGrid(8, 0.1), Uniform(), eta),
+        GradientBidder(IrregularBidGrid((0.0, 0.05, 0.12, 0.2, 0.3, 0.42, 0.55, 0.7, 0.85)),
+                       Uniform(), FixedStep(eta)),
+    ]
+    rng = make_rng(122)
+    competing = [0.2, 0.15, 0.12, 0.1, 0.1, 0.09, 0.08, 0.08, 0.08]
+    for h in rng.choice(9, size=T, p=competing):
+        for lrn in learners:
+            lrn.observe(int(h))
+    assert len(screens) == 2 * T
+    assert scans == []
 
 
 def _former_dp(q, lo, up):
