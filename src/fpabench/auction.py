@@ -21,6 +21,7 @@ scalar result bit for bit.
 from __future__ import annotations
 
 import bisect
+import operator
 
 import numpy as np
 
@@ -64,6 +65,10 @@ def check_thresholds(v, grid: Grid, atol: float = DEFAULT_ATOL):
 
 def check_bid_index(i: int, grid: Grid) -> None:
     """Raise unless i indexes a competing bid on the grid, 0..K."""
+    try:
+        operator.index(i)
+    except TypeError:
+        raise ValueError(f"competing-bid index {i!r} is not an integer") from None
     if not 0 <= i <= grid.K:
         raise ValueError(f"competing-bid index {i} outside 0..{grid.K}")
 

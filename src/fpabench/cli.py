@@ -51,8 +51,6 @@ def _worker_count(reps: int, cap: int | None) -> int:
 
 def _fmt(x) -> str:
     # repr gives the shortest round-trip decimal for floats
-    if isinstance(x, bool):
-        return "1" if x else "0"
     return repr(float(x)) if isinstance(x, float) else str(x)
 
 

@@ -1,7 +1,7 @@
 """Buyer value distributions on [0, 1].
 
-All built-in distributions are atomless with a bounded density.  Each one
-exposes, in closed form:
+``ValueDistribution`` is the union of the three kinds below, each atomless
+with a bounded density.  Each one exposes, in closed form:
 
 * ``cdf(x)``                      F(x)
 * ``quantile(y)``                 the generalized inverse
@@ -28,56 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _elementwise(fn, x):
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
 def _log(x):
     # numpy's log rounds differently from libm's on some inputs
-    return _elementwise(math.log, x)
-
-
-class ValueDistribution:
-    """Interface shared by the built-in distributions."""
-
-    def cdf(self, x: float) -> float:
-        raise NotImplementedError
-
-    def quantile(self, y: float) -> float:
-        raise NotImplementedError
-
-    def quantile_tail_integral(self, q: float) -> float:
-        raise NotImplementedError
-
-    def survival_integral(self, x: float) -> float:
-        raise NotImplementedError
-
-    @property
-    def density_bound(self) -> float:
-        raise NotImplementedError
-
-    # array forms; a distribution without closed forms loops its scalar ones
-
-    def cdf_array(self, x):
-        return _elementwise(self.cdf, x)
-
-    def quantile_array(self, y):
-        return _elementwise(self.quantile, y)
-
-    def quantile_tail_integral_array(self, q):
-        return _elementwise(self.quantile_tail_integral, q)
-
-    def survival_integral_array(self, x):
-        return _elementwise(self.survival_integral, x)
-
-    @property
-    def mean(self) -> float:
-        return self.quantile_tail_integral(0.0)
+    return np.fromiter(map(math.log, x.tolist()), float, len(x))
 
 
 @dataclass(frozen=True)
-class Uniform(ValueDistribution):
+class Uniform:
     """Uniform distribution on [a, b] within the unit interval."""
 
     a: float = 0.0
@@ -145,7 +102,7 @@ class Uniform(ValueDistribution):
 
 
 @dataclass(frozen=True)
-class EqualRevenue(ValueDistribution):
+class EqualRevenue:
     """Equal-revenue-style distribution with a linear patch near 1.
 
     The posted-price revenue r * (1 - F(r)) is constant (1/8) for every
@@ -263,7 +220,7 @@ class EqualRevenue(ValueDistribution):
 
 
 @dataclass(frozen=True)
-class PiecewiseLinearCDF(ValueDistribution):
+class PiecewiseLinearCDF:
     """CDF given by linear interpolation of knots (x_k, y_k).
 
     Knots must start at (0, 0), end at (1, 1), have strictly increasing x
@@ -398,3 +355,6 @@ class PiecewiseLinearCDF(ValueDistribution):
             (y2 - y1) / (x2 - x1)
             for x1, x2, y1, y2 in zip(self.xs, self.xs[1:], self.ys, self.ys[1:])
         )
+
+
+ValueDistribution = Uniform | EqualRevenue | PiecewiseLinearCDF

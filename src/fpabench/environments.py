@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import ValueDistribution
-from .grids import Grid
+from .grids import Grid, check_integer
 from .metrics import ROBUSTNESS_STATE, benchmark_columns, robustness_columns
 from .rng import ADVERSARY, RANKING, VALUES, stream_rng
 from .strategies import Plays
@@ -42,9 +42,6 @@ class History:
 class Adversary:
     def prepare(self, T: int, K: int, rng) -> None:
         pass
-
-    def next(self, t: int, history: History) -> int:
-        raise NotImplementedError
 
 
 class StochasticCompetition(Adversary):
@@ -80,7 +77,7 @@ class LowerBoundCompetition(Adversary):
 
 class FixedSequence(Adversary):
     def __init__(self, indices):
-        self.indices = list(indices)
+        self.indices = [check_integer(i, "fixed h-sequence entry") for i in indices]
 
     def prepare(self, T, K, rng):
         if len(self.indices) < T:
@@ -97,9 +94,9 @@ class DecreasingReserve(Adversary):
     """High reserve through the switch round, low reserve afterwards."""
 
     def __init__(self, switch: int, high: int, low: int):
-        self.switch = switch
-        self.high = high
-        self.low = low
+        self.switch = check_integer(switch, "switch")
+        self.high = check_integer(high, "high")
+        self.low = check_integer(low, "low")
 
     def prepare(self, T, K, rng):
         if not (0 <= self.low <= K and 0 <= self.high <= K):

@@ -8,9 +8,17 @@ project through the generic oracle.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 _ATOL = 1e-12
+
+
+def check_integer(value, name: str) -> int:
+    """``value`` as an int; a bool or a non-integral number raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -22,7 +30,7 @@ class BidGrid:
     bids: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.K < 1:
+        if check_integer(self.K, "K") < 1:
             raise ValueError("grid needs at least one positive bid (K >= 1)")
         if not (self.eps > 0.0):
             raise ValueError("grid spacing eps must be positive")

@@ -96,9 +96,6 @@ class Learner:
     def strategy(self) -> Strategy:
         return self._strategy
 
-    def observe(self, h: int) -> None:
-        raise NotImplementedError
-
 
 class GradientBidder(Learner):
     """Projected gradient ascent in bidding-probability space (needs F).

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .strategies import MisreportMap
 # monopoly (posted-price) revenue
 
 
-@lru_cache(maxsize=64)
 def myerson_revenue(F: ValueDistribution) -> tuple[float, float]:
     """(max_r r*(1-F(r)), an argmax reserve), closed form per built-in kind."""
     if isinstance(F, Uniform):
@@ -56,30 +54,7 @@ def myerson_revenue(F: ValueDistribution) -> tuple[float, float]:
                 if val > best + 1e-15:
                     best, arg = val, r
         return best, arg
-    return _myerson_by_search(F)
-
-
-def _myerson_by_search(F: ValueDistribution) -> tuple[float, float]:
-    """Grid scan plus golden-section refinement for unknown CDF shapes."""
-    n = 100_000
-    best, arg = 0.0, 0.0
-    for i in range(n + 1):
-        r = i / n
-        val = r * (1.0 - F.cdf(r))
-        if val > best:
-            best, arg = val, r
-    lo, hi = max(arg - 1.0 / n, 0.0), min(arg + 1.0 / n, 1.0)
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    f = lambda r: r * (1.0 - F.cdf(r))
-    while hi - lo > 1e-8:
-        c = hi - phi * (hi - lo)
-        d = lo + phi * (hi - lo)
-        if f(c) < f(d):
-            lo = c
-        else:
-            hi = d
-    arg = 0.5 * (lo + hi)
-    return max(best, f(arg)), arg
+    raise TypeError(f"no closed-form Myerson revenue for {type(F).__name__}")
 
 
 def optimal_multi_buyer_revenue(F_list) -> float:

@@ -32,24 +32,13 @@ from .distributions import ValueDistribution
 from .grids import Grid
 
 
-class Strategy:
-    """Value -> bid index; ``edges`` are the values where the bid may change."""
-
-    def bid_index(self, value: float) -> int:
-        raise NotImplementedError
-
-    @classmethod
-    def exact_columns(cls, F: ValueDistribution, plays, run, h):
-        """(utility, revenue) arrays: ``plays[run[t]]`` against ``h[t]`` for every t."""
-        raise NotImplementedError
-
-
 class Plays:
     """The strategy of every round of a run, stored once per run of rounds
     that played the same object (fresh equal objects get one entry each).
 
     A learner plays one strategy class for the whole run; ``exact_columns``
-    hands the log to that class's columnar accounting.
+    hands the log to that class's ``exact_columns(F, plays, run, h)``: the
+    (utility, revenue) arrays of ``plays[run[t]]`` against ``h[t]`` for every t.
     """
 
     def __init__(self):
@@ -69,7 +58,7 @@ class Plays:
 
 
 @dataclass(frozen=True)
-class ThresholdStrategy(Strategy):
+class ThresholdStrategy:
     """Bid b_i on values in (v_i, v_{i+1}]."""
 
     grid: Grid
@@ -97,7 +86,7 @@ class ThresholdStrategy(Strategy):
         return (utility_rows(grid, F, p)[run, h], revenue_rows(grid, p)[run, h])
 
 
-class PiecewiseStrategy(Strategy):
+class PiecewiseStrategy:
     """Bid ``piece_bids[b]`` on the b-th piece of [0, 1] cut at ``edges``;
     exact accounting is one pass over the piece masses."""
 
@@ -191,9 +180,7 @@ class MisreportMap:
             return ys[0]
         if v >= xs[-1]:
             return ys[-1]
-        k = bisect.bisect_right(xs, v) - 1
-        if xs[k + 1] == xs[k]:
-            return ys[k + 1]
+        k = bisect.bisect_right(xs, v) - 1  # xs[k] <= v < xs[k + 1]
         t = (v - xs[k]) / (xs[k + 1] - xs[k])
         return ys[k] + t * (ys[k + 1] - ys[k])
 
@@ -238,3 +225,7 @@ class ComposedStrategy(PiecewiseStrategy):
 
     def bid_index(self, value: float) -> int:
         return self.inner.bid_index(self.report(value))
+
+
+Strategy = ThresholdStrategy | BucketStrategy | ComposedStrategy
+"""Value -> bid index; ``edges`` are the values where the bid may change."""

@@ -293,6 +293,18 @@ def test_feasibility_checks_raise():
         check_thresholds([0.1, 0.6], GRID2)  # below bid
 
 
+@pytest.mark.parametrize("check, vector, message", [
+    (lambda x: check_probabilities(x, GRID2, Uniform()), [0.5], "expected 2 components, got 1"),
+    (lambda x: check_probabilities(x, GRID2, Uniform()), [0.5, 0.2, 0.1],
+     "expected 2 components, got 3"),
+    (lambda x: check_thresholds(x, GRID2), [0.5], "expected 2 components, got 1"),
+    (lambda x: check_thresholds(x, GRID2), [], "expected 2 components, got 0"),
+])
+def test_feasibility_checks_reject_a_vector_of_the_wrong_length(check, vector, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(vector)
+
+
 def test_feasibility_checks_reject_nan():
     with pytest.raises(ValueError):
         check_probabilities([float("nan"), 0.2], GRID2, Uniform())

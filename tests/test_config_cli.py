@@ -7,7 +7,12 @@ import pytest
 from fpabench.cli import main as cli_main
 from fpabench.config import ConfigError, parse_config, parse_misreport_table
 from fpabench.distributions import EqualRevenue, PiecewiseLinearCDF, Uniform
-from fpabench.environments import DecreasingReserve, StochasticCompetition, run_single_buyer
+from fpabench.environments import (
+    DecreasingReserve,
+    LowerBoundCompetition,
+    StochasticCompetition,
+    run_single_buyer,
+)
 from fpabench.grids import BidGrid, IrregularBidGrid
 from fpabench.learners import GradientBidder, ThresholdBidder
 from fpabench.strategies import MisreportMap
@@ -63,6 +68,82 @@ bogus: 1
     for needle in ("grid", "dist", "T", "bogus"):
         assert needle in joined
     assert len(err.value.errors) >= 4
+
+
+def _minimal(old, new):
+    return MINIMAL.replace(old, new)
+
+
+@pytest.mark.parametrize("text, want", [
+    (_minimal("alg2(eta=0.01)", "alg7()"), "learner: unknown learner 'alg7'"),
+    (_minimal("stochastic(0.5,0.25,0.25)", "wat(1)"), "adversary: unknown adversary 'wat'"),
+    ("preset: example99(T=10)\n", "preset: unknown preset 'example99'"),
+    ("preset: example52(2, T=10)\n", "preset: example52 takes keyword arguments only"),
+    ("preset: example52(delta=0.1)\n",
+     "preset: example52 needs T (in the preset or at top level)"),
+    (_minimal("dist: uniform", "dist: uniform(0.5)"),
+     "dist: uniform takes zero or two arguments"),
+    (_minimal("dist: uniform", "dist: uniform(a=0.5)"),
+     "dist: distribution uniform takes positional arguments only"),
+    (_minimal("dist: uniform", "dist: equirev"),
+     "dist: equirev takes exactly one argument (delta)"),
+    (_minimal("dist: uniform", "dist: equirev(0.1, 0.2)"),
+     "dist: equirev takes exactly one argument (delta)"),
+    (_minimal("dist: uniform", "dist: pwl"), "dist: pwl wants knots x:y,..."),
+    (_minimal("dist: uniform", "dist: pwl(0:0, 1)"), "dist: pwl wants knots x:y,..."),
+    (_minimal("dist: uniform", "dist: wat"), "dist: unknown distribution 'wat'"),
+    (_minimal("alg2(eta=0.01)", "alg1(harmonic, fbar=1)"),
+     "learner: alg1(harmonic) needs fbar=... and dmin=..."),
+    (_minimal("alg2(eta=0.01)", "alg1(0.1)"), "learner: unexpected alg1 arguments ['0.1']"),
+    (_minimal("alg2(eta=0.01)", "alg1(eta=0.1, rho=2)"),
+     "learner: unknown alg1 options ['rho']"),
+    (_minimal("alg2(eta=0.01)", "alg2(0.1)"), "learner: alg2 takes only eta=..."),
+    (_minimal("alg2(eta=0.01)", "alg2(eta=0.1, x=1)"), "learner: alg2 takes only eta=..."),
+    (_minimal("alg2(eta=0.01)", "ftl(8)"), "learner: ftl takes only buckets=..."),
+    (_minimal("alg2(eta=0.01)", "ftl(bins=8)"), "learner: ftl takes only buckets=..."),
+    (_minimal("alg2(eta=0.01)", "lazyftrl(0.1)"), "learner: lazyftrl takes only eta=..."),
+    (_minimal("alg2(eta=0.01)", "lazyftrl(eta=0.1, x=2)"),
+     "learner: lazyftrl takes only eta=..."),
+    (_minimal("alg2(eta=0.01)", "misreport(alg2)"),
+     "learner: misreport wants misreport(<inner>, map=x:y;...)"),
+    (_minimal("alg2(eta=0.01)", "misreport(alg2, ftl, map=0:0;1:1)"),
+     "learner: misreport wants misreport(<inner>, map=x:y;...)"),
+    (_minimal("alg2(eta=0.01)", "misreport(alg2, map=0:0;1)"),
+     "learner: misreport map wants knots x:y;x:y;..."),
+    (_minimal("alg2(eta=0.01)", "alg2(eta=0.01"), "learner: cannot parse 'alg2(eta=0.01'"),
+    (_minimal("stochastic(0.5,0.25,0.25)", "seq()"), "adversary: seq wants one file path"),
+    (_minimal("stochastic(0.5,0.25,0.25)", "seq(a, b)"),
+     "adversary: seq wants one file path"),
+    (_minimal("stochastic(0.5,0.25,0.25)", "decreasing(5, 2)"),
+     "adversary: decreasing wants (tswitch, hi, lo)"),
+    (_minimal("stochastic(0.5,0.25,0.25)", "lowerbound(1)"),
+     "adversary: lowerbound takes no arguments"),
+    (_minimal("stochastic(0.5,0.25,0.25)", "stochastic(p=1)"),
+     "adversary: adversary stochastic takes positional arguments only"),
+    ("grid: [1, 2\n", "container syntax: "),
+    ("- 1\n- 2\n", "config must be a key-value mapping"),
+    ("42\n", "config must be a key-value mapping"),
+    (_minimal("grid: {K: 2, eps: 0.25}\n", ""), "missing key 'grid'"),
+    (_minimal("grid: {K: 2, eps: 0.25}", "grid: 3"),
+     "grid: grid must be a mapping with K/eps or bids"),
+    (_minimal("grid: {K: 2, eps: 0.25}", "grid: {K: 2}"),
+     "grid: grid keys must be {K, eps} or {bids}, got ['K']"),
+    (MINIMAL + "mode: fast\n", "mode: must be exact or sampled, got 'fast'"),
+    (MINIMAL + "benchmark: total\n", "benchmark: must be per-round or final, got 'total'"),
+    (MINIMAL + "checks: maybe\n", "checks: must be a boolean"),
+])
+def test_parse_config_names_each_rejection(text, want):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    # a container syntax error goes on to quote the parser's own message
+    assert any(e.startswith(want) for e in err.value.errors), err.value.errors
+
+
+def test_parse_uniform_support_and_lowerbound_adversary():
+    cfg = parse_config(_minimal("dist: uniform", "dist: uniform(0.2, 0.7)").replace(
+        "stochastic(0.5,0.25,0.25)", "lowerbound"))
+    assert cfg.dist == Uniform(0.2, 0.7)
+    assert isinstance(cfg.make_adversary(), LowerBoundCompetition)
 
 
 def test_preset_expansion():

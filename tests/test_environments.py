@@ -115,6 +115,22 @@ def test_run_single_buyer_rejects_unknown_benchmark():
         run_single_buyer(GRID, Uniform(), lrn, adv, 20, benchmark="perround")
 
 
+@pytest.mark.parametrize("mode", ["exakt", "Exact", ""])
+def test_run_single_buyer_rejects_an_unknown_mode(mode):
+    lrn = GradientBidder(GRID, Uniform(), FixedStep(0.05))
+    with pytest.raises(ValueError, match="^mode must be exact or sampled$"):
+        run_single_buyer(GRID, Uniform(), lrn, _PrepareForbidden(), 20, mode=mode)
+
+
+@pytest.mark.parametrize("weights, K, message", [
+    ((0.5, 0.5), 2, "distribution has 2 weights for K=2"),
+    ((0.5, 0.25, 0.25), 1, "distribution has 3 weights for K=1"),
+])
+def test_stochastic_competition_rejects_a_weight_count_off_the_grid(weights, K, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        StochasticCompetition(weights).prepare(10, K, stream_rng(0, ADVERSARY))
+
+
 def test_exact_and_sampled_modes_agree_for_frozen_strategy():
     F = EqualRevenue(0.1)
     g = BidGrid(2, 0.125)
@@ -219,6 +235,18 @@ def test_multi_buyer_unwinnable_rounds_skip_observe():
     res = run_multi_buyer(g, [Uniform(), Uniform()], learners, 0, 400, seed=8)
     sentinel_rounds = [t for t in range(400) if res.h_index[t][0] == UNWINNABLE]
     assert sentinel_rounds  # the construction produces unwinnable rounds
+
+
+@pytest.mark.parametrize("n, extra, message", [
+    (1, 0, "need >= 2 buyers with one learner each"),
+    (3, -1, "need >= 2 buyers with one learner each"),
+    (0, 0, "need >= 2 buyers with one learner each"),
+])
+def test_multi_buyer_rejects_a_buyer_count_below_two_or_unmatched(n, extra, message):
+    g = BidGrid(4, 0.125)
+    learners = [ThresholdBidder(g, 0.01) for _ in range(n + extra)]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_multi_buyer(g, [Uniform()] * n, learners, 0, 200, seed=7)
 
 
 @pytest.mark.parametrize("K", [8, 2])
@@ -350,6 +378,27 @@ def test_run_multi_buyer_rejects_a_bad_horizon(T):
     with pytest.raises(ValueError, match="T must be a positive integer"):
         run_multi_buyer(g, [Uniform()] * 3, learners, 4, T, seed=7)
     assert all(lrn.t == 1 for lrn in learners)
+
+
+@pytest.mark.parametrize("seed, message", [
+    # unchecked, numpy's uint64 cast replayed seed 2.7 as seed 2 and True
+    # as seed 1
+    (2.7, "master seed must be an integer, got 2.7"),
+    (True, "master seed must be an integer, got True"),
+    (2.0, "master seed must be an integer, got 2.0"),
+    (-1, "master seed must fit in 64 bits"),
+    (2**64, "master seed must fit in 64 bits"),
+])
+def test_runs_reject_a_fractional_bool_or_wide_seed(seed, message):
+    message = f"^{re.escape(message)}$"
+    lrn = ThresholdBidder(GRID, 0.02)
+    with pytest.raises(ValueError, match=message):
+        run_single_buyer(GRID, Uniform(), lrn, _PrepareForbidden(), 10, seed=seed)
+    g = BidGrid(4, 0.125)
+    learners = [ThresholdBidder(g, 0.01) for _ in range(3)]
+    with pytest.raises(ValueError, match=message):
+        run_multi_buyer(g, [Uniform()] * 3, learners, 4, 10, seed=seed)
+    assert lrn.t == 1 and all(b.t == 1 for b in learners)
 
 
 @pytest.mark.parametrize("K", [8, 2])

@@ -6,7 +6,7 @@ import pytest
 from conftest import make_rng
 from fpabench import metrics
 from fpabench.auction import best_fixed_utility
-from fpabench.distributions import EqualRevenue, PiecewiseLinearCDF, Uniform
+from fpabench.distributions import EqualRevenue, PiecewiseLinearCDF, Uniform, ValueDistribution
 from fpabench.environments import FixedSequence, StochasticCompetition, run_single_buyer
 from fpabench.grids import BidGrid
 from fpabench.learners import FixedStrategyBidder, ThresholdBidder
@@ -22,7 +22,6 @@ from fpabench.metrics import (
     pseudo_regret,
     strong_concavity_modulus,
 )
-from fpabench.metrics import _myerson_by_search
 from fpabench.projection import ga_step_thresholds, threshold_polytope
 from fpabench.strategies import MisreportMap
 from fpabench.verify import random_distribution, random_feasible, stepineq
@@ -39,6 +38,30 @@ def test_myerson_closed_forms():
     assert myerson_revenue(Uniform(0.5, 1.0)) == pytest.approx((0.5, 0.5), abs=1e-9)
 
 
+# an approximate search, independent of the closed forms it checks
+def _myerson_by_search(F: ValueDistribution) -> tuple[float, float]:
+    """Grid scan plus golden-section refinement for unknown CDF shapes."""
+    n = 100_000
+    best, arg = 0.0, 0.0
+    for i in range(n + 1):
+        r = i / n
+        val = r * (1.0 - F.cdf(r))
+        if val > best:
+            best, arg = val, r
+    lo, hi = max(arg - 1.0 / n, 0.0), min(arg + 1.0 / n, 1.0)
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    f = lambda r: r * (1.0 - F.cdf(r))
+    while hi - lo > 1e-8:
+        c = hi - phi * (hi - lo)
+        d = lo + phi * (hi - lo)
+        if f(c) < f(d):
+            lo = c
+        else:
+            hi = d
+    arg = 0.5 * (lo + hi)
+    return max(best, f(arg)), arg
+
+
 def test_myerson_closed_form_matches_search():
     rng = make_rng(70)
     for _ in range(6):
@@ -46,6 +69,11 @@ def test_myerson_closed_form_matches_search():
         closed, _ = myerson_revenue(F)
         searched, _ = _myerson_by_search(F)
         assert closed == pytest.approx(searched, abs=1e-6)
+
+
+def test_myerson_revenue_has_no_fallback_for_other_kinds():
+    with pytest.raises(TypeError, match="no closed-form Myerson revenue for object"):
+        myerson_revenue(object())
 
 
 def test_myerson_dominates_random_prices():
