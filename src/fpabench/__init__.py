@@ -66,6 +66,7 @@ from .strategies import (
     BucketStrategy,
     ComposedStrategy,
     MisreportMap,
+    ProbabilityStrategy,
     Strategy,
     ThresholdStrategy,
 )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import os
@@ -85,17 +86,20 @@ def _run_replication(cfg: ExperimentConfig, rep: int):
     seed = cfg.seed + rep
     learner = cfg.make_learner()
     t0 = time.perf_counter()
-    trace = run_single_buyer(cfg.grid, cfg.dist, learner, cfg.make_adversary(),
-                             cfg.T, mode=cfg.mode, seed=seed,
-                             check_steps=cfg.checks, benchmark=cfg.benchmark)
-    gap = None
-    if isinstance(learner, MisreportingBidder):
-        # the truthful twin feeds only ic_gap, which reads h_index and
-        # exp_utility: no benchmark column and no sampled draw
-        base = run_single_buyer(cfg.grid, cfg.dist, cfg.make_learner().inner,
-                                cfg.make_adversary(), cfg.T, mode="exact",
-                                seed=seed, check_steps=False, benchmark="final")
-        gap = ic_gap(base, trace)
+    try:
+        trace = run_single_buyer(cfg.grid, cfg.dist, learner, cfg.make_adversary(),
+                                 cfg.T, mode=cfg.mode, seed=seed,
+                                 check_steps=cfg.checks, benchmark=cfg.benchmark)
+        gap = None
+        if isinstance(learner, MisreportingBidder):
+            # the truthful twin feeds only ic_gap, which reads h_index and
+            # exp_utility: no benchmark column and no sampled draw
+            base = run_single_buyer(cfg.grid, cfg.dist, cfg.make_learner().inner,
+                                    cfg.make_adversary(), cfg.T, mode="exact",
+                                    seed=seed, check_steps=False, benchmark="final")
+            gap = ic_gap(base, trace)
+    except ValueError as exc:
+        raise ValueError(f"replication {rep} (seed {seed}, T={cfg.T}): {exc}") from None
     wall = time.perf_counter() - t0
 
     kind = getattr(learner, "kind", "?")
@@ -250,7 +254,8 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fpa-bench")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -270,15 +275,18 @@ def main(argv=None) -> int:
     p_sw.add_argument("--param", required=True)
     p_sw.add_argument("--out")
     p_sw.set_defaults(fn=_cmd_sweep)
+    return parser
 
-    args = parser.parse_args(argv)
-    if args.command in ("run", "sweep"):
-        try:
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        if args.command in ("run", "sweep"):
             args.threads = _thread_cap()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    return args.fn(args)
+        return args.fn(args)
+    except ValueError as exc:  # a bad thread cap, or a run's error naming its replication
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

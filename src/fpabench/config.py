@@ -1,8 +1,9 @@
 """Experiment configuration: YAML container, compact mini-grammars inside.
 
 The key schema and the learner/adversary mini-grammars are the stable
-surface; YAML is only the container.  ``parse_config`` validates the whole
-tree and reports every error it finds, not just the first.
+surface; YAML is only the container, read by libyaml (``CSafeLoader``).
+``parse_config`` validates the whole tree and reports every error it
+finds, not just the first, each integer error naming its argument.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def _build_learner(spec: str, grid: Grid, F: ValueDistribution, T: int):
             raise ValueError("alg2 takes only eta=...")
         return ThresholdBidder(grid, eta)
     if name == "ftl":
-        buckets = int(kw.pop("buckets", 64))
+        buckets = _integer(kw.pop("buckets", 64), "buckets")
         if pos or kw:
             raise ValueError("ftl takes only buckets=...")
         return MeanBasedBucketBidder(grid, buckets)
@@ -229,12 +230,12 @@ def _build_adversary(spec: str) -> Adversary:
         if len(pos) != 1:
             raise ValueError("seq wants one file path")
         with open(pos[0]) as fh:
-            idx = [int(tok) for tok in fh.read().split()]
+            idx = [_integer(tok, "seq entry") for tok in fh.read().split()]
         return FixedSequence(idx)
     if name == "decreasing":
         if len(pos) != 3:
             raise ValueError("decreasing wants (tswitch, hi, lo)")
-        return DecreasingReserve(int(pos[0]), int(pos[1]), int(pos[2]))
+        return DecreasingReserve(*map(_integer, pos, ("tswitch", "hi", "lo")))
     if name == "lowerbound":
         if pos:
             raise ValueError("lowerbound takes no arguments")
@@ -269,7 +270,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigError listing every problem found."""
     errors: list[str] = []
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=yaml.CSafeLoader)
     except yaml.YAMLError as exc:
         raise ConfigError([f"container syntax: {exc}"])
     if not isinstance(data, dict):

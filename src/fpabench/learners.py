@@ -19,11 +19,9 @@ from .auction import (
     check_probabilities,
     check_thresholds,
     threshold_margin,
-    thresholds_from_probabilities,
-    utility_gradient,
 )
 from .distributions import ValueDistribution
-from .grids import BidGrid, Grid
+from .grids import BidGrid, Grid, check_integer
 # no learner calls ga_step_probabilities any more, but perfbench's tests read
 # this module's binding of it, so it stays imported
 from .projection import (  # noqa: F401
@@ -33,7 +31,8 @@ from .projection import (  # noqa: F401
     probability_polytope,
     project_oracle,
 )
-from .strategies import BucketStrategy, ComposedStrategy, MisreportMap, Strategy, ThresholdStrategy
+from .strategies import (BucketStrategy, ComposedStrategy, MisreportMap, ProbabilityStrategy,
+                         Strategy, ThresholdStrategy)
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +81,6 @@ def default_eta_threshold(fbar: float, T: int) -> float:
 # learners
 
 
-def _probability_strategy(grid: Grid, F: ValueDistribution, p) -> ThresholdStrategy:
-    return ThresholdStrategy(grid, tuple(thresholds_from_probabilities(grid, F, p)))
-
-
 class Learner:
     """``strategy()`` returns ``_strategy``, which a learner rebuilds only
     when ``observe`` changes the state it is built from."""
@@ -117,8 +112,9 @@ class GradientBidder(Learner):
         if isinstance(grid, BidGrid):  # the chain step's floors, -(1 - F(b_j))
             self._floors, self._poly = [-(1.0 - F.cdf(b)) for b in grid.bids[1:]], None
         else:
-            self._floors, self._poly = None, probability_polytope(grid, F)
-        self._strategy = _probability_strategy(grid, F, self.p)
+            self._poly = probability_polytope(grid, F)
+            self._gaps = [a - b for a, b in zip(grid.bids, grid.bids[1:])]  # -(b_j - b_{j-1})
+        self._strategy = ProbabilityStrategy(grid, F, tuple(self.p))
 
     def observe(self, h: int) -> None:
         eta = self.policy.at(self.t)
@@ -131,11 +127,16 @@ class GradientBidder(Learner):
             out = _chain_step([-pj for pj in self.p], h, g, step, -0.0, self._floors, "-p")[0]
             p = [-t for t in out]
         else:
-            g = utility_gradient(self.grid, self.F, self.p, h)
-            q = [pj + eta * gj for pj, gj in zip(self.p, g)]
+            # p + eta * utility_gradient; eta * 0.0 below h turns a -0.0 into +0.0
+            check_bid_index(h, self.grid)
+            q = [pj + eta * gj for pj, gj in zip(self.p[h:], self._gaps[h:])]
+            if h:
+                zero, ph = eta * 0.0, self.p[h - 1]
+                q = ([pj + zero for pj in self.p[:h - 1]]
+                     + [ph + eta * threshold_margin(self.F, ph, self.grid.bids[h])] + q)
             p = project_oracle(self._poly, q)
         if p != self.p:  # p enters only as 1 - p_j: equal p, +-0 included, gives equal bits
-            self._strategy = _probability_strategy(self.grid, self.F, p)
+            self._strategy = ProbabilityStrategy(self.grid, self.F, tuple(p))
         self.p = p
         self.t += 1
 
@@ -180,7 +181,7 @@ class MeanBasedBucketBidder(Learner):
     kind = "ftl"
 
     def __init__(self, grid: Grid, buckets: int = 64):
-        if buckets < 1:
+        if check_integer(buckets, "buckets") < 1:
             raise ValueError("need at least one bucket")
         self.grid = grid
         self.buckets = buckets
@@ -221,18 +222,23 @@ class LazyRegularizedBidder(Learner):
         check_probabilities(self.p1, grid, F, atol=CLAMP_TOL)
         self.p = list(self.p1)
         self._gsum = [0.0] * grid.K
+        self._gaps = [a - b for a, b in zip(grid.bids, grid.bids[1:])]  # -(b_j - b_{j-1})
         self._poly = probability_polytope(grid, F)
-        self._strategy = _probability_strategy(grid, F, self.p)
+        self._strategy = ProbabilityStrategy(grid, F, tuple(self.p))
         self.t = 1
         self.last_eta = eta
 
     def observe(self, h: int) -> None:
-        g = utility_gradient(self.grid, self.F, self.p, h)
-        self._gsum = [a + b for a, b in zip(self._gsum, g)]
-        q = [a + self.eta * s for a, s in zip(self.p1, self._gsum)]
+        # gsum += utility_gradient from h on; its +0.0 below h leaves gsum (never -0.0) as is
+        check_bid_index(h, self.grid)
+        gs = self._gsum
+        if h:
+            gs[h - 1] += threshold_margin(self.F, self.p[h - 1], self.grid.bids[h])
+        gs[h:] = [a + b for a, b in zip(gs[h:], self._gaps[h:])]
+        q = [a + self.eta * s for a, s in zip(self.p1, gs)]
         p = project_oracle(self._poly, q)
         if p != self.p:  # as in GradientBidder.observe
-            self._strategy = _probability_strategy(self.grid, self.F, p)
+            self._strategy = ProbabilityStrategy(self.grid, self.F, tuple(p))
         self.p = p
         self.t += 1
 

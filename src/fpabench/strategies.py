@@ -7,8 +7,8 @@ regret and robustness measurements noise-free.
 
 A run records its strategies in a ``Plays`` log and accounts for them
 after the loop: ``exact_columns`` gives each strategy shape one columnar
-kernel.  Threshold strategies go through the probability rows of
-``utility_rows``/``revenue_rows``; piecewise strategies (bucket and
+kernel.  Threshold and probability strategies go through the probability
+rows of ``utility_rows``/``revenue_rows``; piecewise strategies (bucket and
 misreported) have no other accounting path.  ``ThresholdStrategy`` keeps
 its scalar ``exact_utility``/``exact_revenue`` for single-play callers.
 """
@@ -25,6 +25,7 @@ from .auction import (
     probabilities_from_strategy,
     revenue_for_h,
     revenue_rows,
+    thresholds_from_probabilities,
     utility_for_h,
     utility_rows,
 )
@@ -36,9 +37,9 @@ class Plays:
     """The strategy of every round of a run, stored once per run of rounds
     that played the same object (fresh equal objects get one entry each).
 
-    A learner plays one strategy class for the whole run; ``exact_columns``
-    hands the log to that class's ``exact_columns(F, plays, run, h)``: the
-    (utility, revenue) arrays of ``plays[run[t]]`` against ``h[t]`` for every t.
+    A learner plays one strategy class on one grid (and under its own F) all
+    run; ``exact_columns`` hands the log to that class's ``exact_columns(F,
+    plays, run, h)``: the (utility, revenue) of ``plays[run[t]]`` against h[t].
     """
 
     def __init__(self):
@@ -83,6 +84,30 @@ class ThresholdStrategy:
     def exact_columns(cls, F, plays, run, h):
         grid = plays[0].grid
         p = 1.0 - F.cdf_array(np.array([s.thresholds for s in plays]))
+        return (utility_rows(grid, F, p)[run, h], revenue_rows(grid, p)[run, h])
+
+
+@dataclass(frozen=True)
+class ProbabilityStrategy:
+    """Bid by thresholds v_j = max(F^-(1 - p_j), b_j) under the learner's F, built on first use."""
+
+    grid: Grid
+    F: ValueDistribution
+    p: tuple[float, ...]
+
+    @cached_property
+    def thresholds(self) -> tuple[float, ...]:
+        return tuple(thresholds_from_probabilities(self.grid, self.F, self.p))
+
+    edges, bid_index = ThresholdStrategy.edges, ThresholdStrategy.bid_index
+
+    @classmethod
+    def exact_columns(cls, F, plays, run, h):
+        # thresholds_from_probabilities for every play in one pass, bit for bit:
+        # quantile_array is quantile, np.maximum is max (every b_j > 0)
+        grid, G = plays[0].grid, plays[0].F
+        V = np.maximum(G.quantile_array(1.0 - np.array([s.p for s in plays])), grid.bids[1:])
+        p = 1.0 - F.cdf_array(V)
         return (utility_rows(grid, F, p)[run, h], revenue_rows(grid, p)[run, h])
 
 
@@ -227,5 +252,5 @@ class ComposedStrategy(PiecewiseStrategy):
         return self.inner.bid_index(self.report(value))
 
 
-Strategy = ThresholdStrategy | BucketStrategy | ComposedStrategy
+Strategy = ThresholdStrategy | ProbabilityStrategy | BucketStrategy | ComposedStrategy
 """Value -> bid index; ``edges`` are the values where the bid may change."""

@@ -7,7 +7,9 @@ scalar ``best_fixed_utility``, ``utility_for_h``, ``revenue_for_h``,
 accounting in ``conftest`` and ``check_robustness_step`` bit for bit, on
 both grid kinds, K from 1 to 32, every distribution kind, and competing-bid
 sequences that leave bids unplayed (repeated slopes).  Misreported plays
-mix shared and per-play partitions and piece counts.
+mix shared and per-play partitions and piece counts.  Probability plays,
+under a learner's F of their own, are checked through the threshold
+strategy the learners built eagerly before.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from fpabench.auction import (
     revenue_for_h,
     revenue_rows,
     single_shot_best_response,
+    thresholds_from_probabilities,
     utility_for_h,
     utility_rows,
 )
@@ -35,6 +38,7 @@ from fpabench.strategies import (
     ComposedStrategy,
     MisreportMap,
     Plays,
+    ProbabilityStrategy,
     ThresholdStrategy,
 )
 from fpabench.verify import random_distribution, random_feasible
@@ -100,6 +104,11 @@ def _strategies(grid, rng, kind, n):
     if kind == "threshold":
         poly = threshold_polytope(grid)
         return [ThresholdStrategy(grid, tuple(random_feasible(poly, rng))) for _ in range(n)]
+    if kind == "probability":  # under a learner's F of its own, not the run's
+        G = random_distribution(rng)
+        poly = probability_polytope(grid, G)
+        return [ProbabilityStrategy(grid, G, tuple(random_feasible(poly, rng)))
+                for _ in range(n)]
     if kind == "bucket":
         return [BucketStrategy(grid, tuple(rng.integers(0, grid.K + 1, 16).tolist()))
                 for _ in range(n)]
@@ -113,6 +122,8 @@ def _check_plays(F, h, pool, rng, k):
         plays.record(s)
     util, rev = plays.exact_columns(F, h)
     for t, (s, hi) in enumerate(zip(played, h.tolist())):
+        if isinstance(s, ProbabilityStrategy):  # the learners' former eager strategy
+            s = ThresholdStrategy(s.grid, tuple(thresholds_from_probabilities(s.grid, s.F, s.p)))
         if isinstance(s, ThresholdStrategy):
             want = s.exact_utility(F, hi), s.exact_revenue(F, hi)
         else:
@@ -120,7 +131,7 @@ def _check_plays(F, h, pool, rng, k):
         assert (util[t], rev[t]) == want, (k, t)
 
 
-@pytest.mark.parametrize("kind", ["threshold", "bucket", "composed"])
+@pytest.mark.parametrize("kind", ["threshold", "probability", "bucket", "composed"])
 def test_strategy_columns_match_exact_utility_and_revenue(kind):
     for k in range(32):
         rng = make_rng(1100 + k)
@@ -133,6 +144,7 @@ def test_strategy_columns_match_exact_utility_and_revenue(kind):
     ("threshold", (QUARTER,)),            # a partition per play
     ("bucket", (FLAT, QUARTER, ZIGZAG)),  # piece counts differ: padding
     ("threshold", (FLAT, QUARTER, ZIGZAG)),
+    ("probability", (FLAT, QUARTER, ZIGZAG)),
 ])
 def test_composed_columns_match_the_scalar_forms(inner, maps):
     for k in range(32):

@@ -116,6 +116,12 @@ def _minimal(old, new):
      "adversary: seq wants one file path"),
     (_minimal("stochastic(0.5,0.25,0.25)", "decreasing(5, 2)"),
      "adversary: decreasing wants (tswitch, hi, lo)"),
+    # the grammar's integers name their argument, not "invalid literal for int()"
+    (_minimal("alg2(eta=0.01)", "ftl(buckets=2.5)"), "learner: buckets: not an integer: '2.5'"),
+    (_minimal("stochastic(0.5,0.25,0.25)", "decreasing(2.5, 2, 1)"),
+     "adversary: tswitch: not an integer: '2.5'"),
+    (_minimal("stochastic(0.5,0.25,0.25)", "decreasing(5, 2, x)"),
+     "adversary: lo: not an integer: 'x'"),
     (_minimal("stochastic(0.5,0.25,0.25)", "lowerbound(1)"),
      "adversary: lowerbound takes no arguments"),
     (_minimal("stochastic(0.5,0.25,0.25)", "stochastic(p=1)"),
@@ -444,6 +450,13 @@ def test_cli_run_rejects_bad_seq_file(tmp_path, capsys, indices, T, needle):
     assert len(err) == 1 and err[0].startswith("config error: adversary:") and needle in err[0]
 
 
+def test_seq_file_entries_name_their_argument(tmp_path):
+    cfg = _seq_config(tmp_path, [0, 1, 2.5, 3], 4)
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg.read_text())
+    assert err.value.errors == ["adversary: seq entry: not an integer: '2.5'"]
+
+
 def test_cli_sweep_rejects_a_point_past_the_seq_file(tmp_path, capsys):
     cfg = _seq_config(tmp_path, [0, 1, 2, 3] * 25, 50)
     assert cli_main(["sweep", "--config", str(cfg), "--param", "T=50,200"]) == 1
@@ -468,3 +481,39 @@ def test_cli_run_rejects_non_finite_step_size(tmp_path, capsys, learner):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error: learner:")
     assert "positive and finite" in err[0]
+
+
+# the anchored gradient sum overflows to -inf mid-run, and project_oracle
+# refuses the point: formerly a traceback
+OVERFLOW = MINIMAL.replace("alg2(eta=0.01)", "lazyftrl(eta=1e308)").replace("T: 10000", "T: 50")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_run_reports_a_run_time_error_in_one_line(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("FPA_BENCH_THREADS", threads)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(OVERFLOW + "replications: 2\n")
+    assert cli_main(["run", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "Traceback" not in captured.err
+    assert err[0].startswith("error: replication 0 (seed 1, T=50): cannot project a non-finite")
+
+
+def test_cli_sweep_reports_a_run_time_error_in_one_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(OVERFLOW)
+    assert cli_main(["sweep", "--config", str(cfg), "--param", "T=50"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "Traceback" not in captured.err
+    assert err[0].startswith("error: replication 0 (seed 1, T=50): cannot project")
+
+
+def test_cli_run_reports_a_run_time_error_through_the_entry_point(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(OVERFLOW)
+    proc = subprocess.run([sys.executable, "-m", "fpabench.cli", "run", "--config", str(cfg)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1

@@ -4,7 +4,7 @@ import pytest
 
 from fpabench.environments import DecreasingReserve, FixedSequence
 from fpabench.grids import BidGrid, IrregularBidGrid
-from fpabench.learners import ThresholdBidder
+from fpabench.learners import MeanBasedBucketBidder, ThresholdBidder
 from fpabench.projection import ga_step_thresholds
 
 
@@ -34,6 +34,9 @@ def test_uniform_grid_validation():
     (lambda: DecreasingReserve(2.5, 2, 1), "switch must be an integer, got 2.5"),
     (lambda: DecreasingReserve(2, 2.0, 1), "high must be an integer, got 2.0"),
     (lambda: DecreasingReserve(2, 2, True), "low must be an integer, got True"),
+    # buckets=2.5 died in numpy with "'float' object cannot be interpreted as an integer"
+    (lambda: MeanBasedBucketBidder(BidGrid(2, 0.25), 2.5), "buckets must be an integer, got 2.5"),
+    (lambda: MeanBasedBucketBidder(BidGrid(2, 0.25), True), "buckets must be an integer, got True"),
     (lambda: ga_step_thresholds(BidGrid(2, 0.25), (0.5, 0.75), 1.0, 0.1),
      "competing-bid index 1.0 is not an integer"),
     (lambda: ThresholdBidder(BidGrid(2, 0.25), 0.1).observe(1.0),
