@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import functools
 import json
 import math
 import os
@@ -99,7 +98,7 @@ def _run_replication(cfg: ExperimentConfig, rep: int):
                                     seed=seed, check_steps=False, benchmark="final")
             gap = ic_gap(base, trace)
     except ValueError as exc:
-        raise ValueError(f"replication {rep} (seed {seed}, T={cfg.T}): {exc}") from None
+        raise ValueError(f"replication {rep} (seed {seed}, T={cfg.T}): {exc}") from exc
     wall = time.perf_counter() - t0
 
     kind = getattr(learner, "kind", "?")
@@ -254,8 +253,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="fpa-bench")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -275,14 +273,12 @@ def _parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--param", required=True)
     p_sw.add_argument("--out")
     p_sw.set_defaults(fn=_cmd_sweep)
-    return parser
 
-
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.command not in ("run", "sweep"):
+        return args.fn(args)
     try:
-        if args.command in ("run", "sweep"):
-            args.threads = _thread_cap()
+        args.threads = _thread_cap()
         return args.fn(args)
     except ValueError as exc:  # a bad thread cap, or a run's error naming its replication
         print(f"error: {exc}", file=sys.stderr)

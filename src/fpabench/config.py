@@ -1,7 +1,8 @@
 """Experiment configuration: YAML container, compact mini-grammars inside.
 
 The key schema and the learner/adversary mini-grammars are the stable
-surface; YAML is only the container, read by libyaml (``CSafeLoader``).
+surface; YAML is only the container, read by libyaml's ``CSafeLoader``
+where PyYAML has it and by the pure-Python ``SafeLoader`` otherwise.
 ``parse_config`` validates the whole tree and reports every error it
 finds, not just the first, each integer error naming its argument.
 """
@@ -35,6 +36,8 @@ from .learners import (
 )
 from .rng import ADVERSARY, stream_rng
 from .strategies import MisreportMap
+
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(ValueError):
@@ -270,7 +273,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigError listing every problem found."""
     errors: list[str] = []
     try:
-        data = yaml.load(text, Loader=yaml.CSafeLoader)
+        data = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError([f"container syntax: {exc}"])
     if not isinstance(data, dict):

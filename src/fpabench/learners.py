@@ -19,6 +19,7 @@ from .auction import (
     check_probabilities,
     check_thresholds,
     threshold_margin,
+    utility_gradient,
 )
 from .distributions import ValueDistribution
 from .grids import BidGrid, Grid, check_integer
@@ -112,8 +113,7 @@ class GradientBidder(Learner):
         if isinstance(grid, BidGrid):  # the chain step's floors, -(1 - F(b_j))
             self._floors, self._poly = [-(1.0 - F.cdf(b)) for b in grid.bids[1:]], None
         else:
-            self._poly = probability_polytope(grid, F)
-            self._gaps = [a - b for a, b in zip(grid.bids, grid.bids[1:])]  # -(b_j - b_{j-1})
+            self._floors, self._poly = None, probability_polytope(grid, F)
         self._strategy = ProbabilityStrategy(grid, F, tuple(self.p))
 
     def observe(self, h: int) -> None:
@@ -127,13 +127,8 @@ class GradientBidder(Learner):
             out = _chain_step([-pj for pj in self.p], h, g, step, -0.0, self._floors, "-p")[0]
             p = [-t for t in out]
         else:
-            # p + eta * utility_gradient; eta * 0.0 below h turns a -0.0 into +0.0
-            check_bid_index(h, self.grid)
-            q = [pj + eta * gj for pj, gj in zip(self.p[h:], self._gaps[h:])]
-            if h:
-                zero, ph = eta * 0.0, self.p[h - 1]
-                q = ([pj + zero for pj in self.p[:h - 1]]
-                     + [ph + eta * threshold_margin(self.F, ph, self.grid.bids[h])] + q)
+            g = utility_gradient(self.grid, self.F, self.p, h)
+            q = [pj + eta * gj for pj, gj in zip(self.p, g)]
             p = project_oracle(self._poly, q)
         if p != self.p:  # p enters only as 1 - p_j: equal p, +-0 included, gives equal bits
             self._strategy = ProbabilityStrategy(self.grid, self.F, tuple(p))
@@ -222,20 +217,15 @@ class LazyRegularizedBidder(Learner):
         check_probabilities(self.p1, grid, F, atol=CLAMP_TOL)
         self.p = list(self.p1)
         self._gsum = [0.0] * grid.K
-        self._gaps = [a - b for a, b in zip(grid.bids, grid.bids[1:])]  # -(b_j - b_{j-1})
         self._poly = probability_polytope(grid, F)
         self._strategy = ProbabilityStrategy(grid, F, tuple(self.p))
         self.t = 1
         self.last_eta = eta
 
     def observe(self, h: int) -> None:
-        # gsum += utility_gradient from h on; its +0.0 below h leaves gsum (never -0.0) as is
-        check_bid_index(h, self.grid)
-        gs = self._gsum
-        if h:
-            gs[h - 1] += threshold_margin(self.F, self.p[h - 1], self.grid.bids[h])
-        gs[h:] = [a + b for a, b in zip(gs[h:], self._gaps[h:])]
-        q = [a + self.eta * s for a, s in zip(self.p1, gs)]
+        g = utility_gradient(self.grid, self.F, self.p, h)
+        self._gsum = [a + b for a, b in zip(self._gsum, g)]
+        q = [a + self.eta * s for a, s in zip(self.p1, self._gsum)]
         p = project_oracle(self._poly, q)
         if p != self.p:  # as in GradientBidder.observe
             self._strategy = ProbabilityStrategy(self.grid, self.F, tuple(p))

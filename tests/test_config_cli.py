@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
 from fpabench.cli import main as cli_main
 from fpabench.config import ConfigError, parse_config, parse_misreport_table
@@ -178,6 +179,20 @@ def test_learner_grammar_variants():
         assert cfg.make_learner().kind == kind
 
 
+@pytest.mark.parametrize("text", [
+    MINIMAL,
+    MINIMAL.replace("{K: 2, eps: 0.25}", "{bids: [0, 0.1, 0.4]}").replace(
+        "alg2(eta=0.01)", "lazyftrl(eta=1e-2)").replace("T: 10000", "T: 1.0e+4"),
+    "preset: example52(delta=0.1, T=100000)\nlearner: ftl(buckets=64)\nmode: sampled\n",
+])
+def test_pure_python_loader_parses_as_libyaml_does(text, monkeypatch):
+    want = parse_config(text)
+    monkeypatch.setattr("fpabench.config._LOADER", yaml.SafeLoader)
+    assert parse_config(text) == want
+    with pytest.raises(ConfigError):
+        parse_config("grid: {K: 2\n")
+
+
 def test_misreport_table_parsing():
     M = parse_misreport_table("0:0;0.5:0.5;0.5:0.25;1:0.25")
     assert M(0.75) == pytest.approx(0.25)
@@ -325,6 +340,15 @@ def test_cli_verify_mirror_suite(capsys):
     assert cli_main(["verify", "mirror"]) == 0
     out = capsys.readouterr().out
     assert "mirror" in out and "pass" in out
+
+
+def test_cli_verify_lets_a_crashing_suite_raise(monkeypatch):
+    # only run/sweep turn a ValueError into one line; a verify crash is not a FAIL
+    def crash(*args):
+        raise ValueError("suite crashed")
+    monkeypatch.setitem(SUITES, "mirror", SUITES["mirror"]._replace(fn=crash))
+    with pytest.raises(ValueError, match="suite crashed"):
+        cli_main(["verify", "mirror"])
 
 
 def test_cli_verify_unknown_suite_lists_the_suites(capsys):

@@ -1,16 +1,15 @@
-"""The probability learners against frozen copies of the code they replaced.
+"""The probability learners' deferred strategy against a frozen copy of the
+eager one it replaced.
 
 ``GradientBidder`` and ``LazyRegularizedBidder`` record a
 ``ProbabilityStrategy``, which holds p and builds its thresholds only on
 first use; before, they built a ``ThresholdStrategy`` from p every time p
-changed (``eager_strategy`` below).  On an oracle path they form q
-directly; before, they summed a ``utility_gradient`` list every round
-(``FormerOracleAlg1``/``FormerLazy`` below).  Thresholds, accounting
-columns, misreport pieces, whole traces and every round's p must equal the
-former results by ``repr`` (which tells -0.0 from 0.0), in the regimes
-where the closed forms have edge cases: the ``max(quantile, b_j)`` clamp
-(a uniform support above the low bids), the ``EqualRevenue`` knee, flat
-``PiecewiseLinearCDF`` segments, p at its caps, at 0 and at -0.0.
+changed (``eager_strategy`` below).  Thresholds, accounting columns,
+misreport pieces and whole traces must equal the eager results by
+``repr`` (which tells -0.0 from 0.0), in the regimes where the closed
+forms have edge cases: the ``max(quantile, b_j)`` clamp (a uniform support
+above the low bids), the ``EqualRevenue`` knee, flat ``PiecewiseLinearCDF``
+segments, p at its caps, at 0 and at -0.0.
 """
 
 import bisect
@@ -22,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import make_rng
 from fpabench import learners
-from fpabench.auction import thresholds_from_probabilities, utility_gradient
+from fpabench.auction import thresholds_from_probabilities
 from fpabench.distributions import EqualRevenue, PiecewiseLinearCDF, Uniform
 from fpabench.environments import AdaptiveCompetition, StochasticCompetition, run_single_buyer
 from fpabench.grids import BidGrid, IrregularBidGrid
@@ -33,7 +32,6 @@ from fpabench.learners import (
     LazyRegularizedBidder,
     MisreportingBidder,
 )
-from fpabench.projection import probability_polytope, project_oracle
 from fpabench.strategies import (
     ComposedStrategy,
     MisreportMap,
@@ -47,40 +45,6 @@ def eager_strategy(grid, F, p):
     return ThresholdStrategy(grid, tuple(thresholds_from_probabilities(grid, F, p)))
 
 
-class FormerOracleAlg1:
-    """Frozen copy of the former ``GradientBidder.observe`` on an irregular grid."""
-
-    def __init__(self, grid, F, policy, p1):
-        self.grid, self.F, self.policy = grid, F, policy
-        self.p = list(p1)
-        self.t = 1
-        self._poly = probability_polytope(grid, F)
-
-    def observe(self, h):
-        eta = self.policy.at(self.t)
-        g = utility_gradient(self.grid, self.F, self.p, h)
-        q = [pj + eta * gj for pj, gj in zip(self.p, g)]
-        self.p = project_oracle(self._poly, q)
-        self.t += 1
-
-
-class FormerLazy:
-    """Frozen copy of the former ``LazyRegularizedBidder.observe``."""
-
-    def __init__(self, grid, F, eta, p1):
-        self.grid, self.F, self.eta = grid, F, eta
-        self.p1 = list(p1)
-        self.p = list(p1)
-        self._gsum = [0.0] * grid.K
-        self._poly = probability_polytope(grid, F)
-
-    def observe(self, h):
-        g = utility_gradient(self.grid, self.F, self.p, h)
-        self._gsum = [a + b for a, b in zip(self._gsum, g)]
-        q = [a + self.eta * s for a, s in zip(self.p1, self._gsum)]
-        self.p = project_oracle(self._poly, q)
-
-
 MID_FLAT = PiecewiseLinearCDF((0.0, 0.3, 0.6, 1.0), (0.0, 0.2, 0.2, 1.0))
 _DISTRIBUTIONS = st.one_of(
     st.just(Uniform(0.2, 0.7)),  # F^-(1 - p_j) falls below the low bids: the clamp acts
@@ -92,7 +56,6 @@ _DISTRIBUTIONS = st.one_of(
     st.floats(0.1, 0.6).map(lambda x: PiecewiseLinearCDF((0.0, x, 1.0), (0.0, 0.0, 1.0))),
 )
 _K = st.integers(1, 8)
-_ETA = st.one_of(st.just(1e-9), st.floats(1e-9, 2.0))
 
 
 def _grid(data, K, irregular):
@@ -215,71 +178,3 @@ def test_traces_equal_the_eager_strategy_traces(name, mode, adaptive, monkeypatc
             traces.append(repr(run_single_buyer(grid, F, make(grid, G), adversary, 400,
                                                 mode=mode, seed=seed, check_steps=checked)))
     assert traces[:2] == traces[2:]
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(K=_K, F=_DISTRIBUTIONS, eta=_ETA, data=st.data())
-def test_lazy_observe_equals_the_former_body_round_by_round(K, F, eta, data):
-    grid = _grid(data, K, irregular=False)
-    p1 = _probabilities(data, grid, F)
-    lrn, ref = LazyRegularizedBidder(grid, F, eta, p1), FormerLazy(grid, F, eta, p1)
-    _step_both(lrn, ref, data.draw(st.lists(st.integers(0, K), max_size=60)))
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(K=_K, F=_DISTRIBUTIONS, eta=_ETA, harmonic=st.booleans(), data=st.data())
-def test_oracle_alg1_observe_equals_the_former_body_round_by_round(K, F, eta, harmonic, data):
-    grid = _grid(data, K, irregular=True)
-    p1 = _probabilities(data, grid, F)
-    policy = HarmonicStep(eta, 0.5) if harmonic else FixedStep(eta)
-    lrn, ref = GradientBidder(grid, F, policy, p1), FormerOracleAlg1(grid, F, policy, p1)
-    _step_both(lrn, ref, data.draw(st.lists(st.integers(0, K), max_size=60)))
-
-
-def _step_both(lrn, ref, hs):
-    for t, h in enumerate(hs, start=1):
-        try:
-            ref.observe(h)
-        except (ValueError, AssertionError) as exc:
-            with pytest.raises(type(exc)):
-                lrn.observe(h)
-            return
-        lrn.observe(h)
-        assert repr(lrn.p) == repr(ref.p), (t, h)
-
-
-_PAIRS = pytest.mark.parametrize("make", [
-    lambda g, F, p1: (LazyRegularizedBidder(g, F, 0.05, p1), FormerLazy(g, F, 0.05, p1)),
-    lambda g, F, p1: (GradientBidder(g, F, FixedStep(0.05), p1),
-                      FormerOracleAlg1(g, F, FixedStep(0.05), p1)),
-], ids=["lazyftrl", "alg1"])
-
-
-@_PAIRS
-def test_direct_q_at_the_cap_kink(make):
-    # bids 0.45 and 0.5 sit on MID_FLAT's flat segment: at the cap
-    # p_j = 1 - F(b_j) the raw margin F^-(1 - p_j) - b_j is negative
-    grid = IrregularBidGrid((0.0, 0.1, 0.45, 0.5, 0.9))
-    caps = [1.0 - MID_FLAT.cdf(b) for b in grid.bids[1:]]
-    lrn, ref = make(grid, MID_FLAT, caps)
-    kinks = 0
-    for t, h in enumerate(make_rng(11).integers(0, 5, 300).tolist(), start=1):
-        if h in (2, 3) and MID_FLAT.quantile(1.0 - lrn.p[h - 1]) < grid.bids[h]:
-            kinks += 1
-        ref.observe(h)
-        lrn.observe(h)
-        assert repr(lrn.p) == repr(ref.p), (t, h)
-    assert kinks > 0
-
-
-@_PAIRS
-def test_direct_q_keeps_the_sign_of_zero(make):
-    # the top bid lies past the support of Uniform(0.2, 0.7): at h = K the
-    # margin is 0, so with p at -0.0 every q_j is a zero, and the projection
-    # passes the zeros' signs on to p
-    grid = IrregularBidGrid((0.0, 0.1, 0.8))
-    lrn, ref = make(grid, Uniform(0.2, 0.7), [-0.0, -0.0])
-    for t, h in enumerate([2, 2, 0, 2, 1, 2, 2], start=1):
-        ref.observe(h)
-        lrn.observe(h)
-        assert repr(lrn.p) == repr(ref.p), (t, h)
