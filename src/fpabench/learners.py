@@ -60,8 +60,10 @@ class HarmonicStep:
     dmin: float
 
     def __post_init__(self):
-        if not (0.0 < self.fbar < math.inf and 0.0 < self.dmin < math.inf):
-            raise ValueError(f"fbar and dmin must be positive and finite, "
+        # the first step fbar / dmin can overflow or underflow with both finite
+        if not (0.0 < self.fbar < math.inf and 0.0 < self.dmin < math.inf
+                and 0.0 < self.at(1) < math.inf):
+            raise ValueError(f"fbar, dmin and fbar / dmin must be positive and finite, "
                              f"got {self.fbar} and {self.dmin}")
 
     def at(self, t: int) -> float:
@@ -178,6 +180,9 @@ class MeanBasedBucketBidder(Learner):
     def __init__(self, grid: Grid, buckets: int = 64):
         if check_integer(buckets, "buckets") < 1:
             raise ValueError("need at least one bucket")
+        if buckets * (grid.K + 1) > 2**24:  # refused before np.zeros allocates the table
+            raise ValueError(f"buckets={buckets} needs {buckets * (grid.K + 1)} table cells, "
+                             "more than 2**24")
         self.grid = grid
         self.buckets = buckets
         self._bids = np.asarray(grid.bids)

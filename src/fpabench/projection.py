@@ -4,7 +4,7 @@ The two learners update by a gradient step followed by a Euclidean
 projection onto their polytope (bidding probabilities or thresholds).
 Both are one O(K) closed form on a non-decreasing chain, ``_chain_step``:
 a pooled block [m, i] around the competing bid, a translated stretch
-(i, ell), a saturated tail, and the clamp's drift snap in one output pass.
+(i, ell) and a saturated tail, each coordinate built and clamped in one pass.
 The threshold step runs it on v; the probability step on -p, negated.
 
 ``project_oracle`` is an independent exact solver for the generic chain
@@ -60,42 +60,56 @@ def _chain_step(q, i: int, g: float, step: float, ceil: float, lo, name: str):
     """Closed-form projected step on a non-decreasing chain capped by ceil.
 
     Coordinate i takes the gain g >= 0 and every coordinate above i moves
-    up by step; coordinate k stays at or above lo[k - 1].  The output pass
-    is the clamp's, max(min(o, ceil), prev, lo_k); a larger correction than
-    float drift raises, naming ``name``_k.  Returns the point, m, ell and
-    the pooled value x (m = 0, x = nan when i = 0: every coordinate moves
-    up).  The argument order of min and max, spelled out as comparisons,
-    fixes the sign of zeros that the probability step's negation relies on.
+    up by step; coordinate k stays at or above lo[k - 1].  One pass builds
+    each coordinate from its region and clamps it, max(min(o, ceil), prev,
+    lo_k); a larger correction than float drift raises, naming ``name``_k.
+    Returns the point, m, ell and the pooled value x (m = 0, x = nan when
+    i = 0: every coordinate moves up).  The argument order of min and max,
+    spelled out as comparisons, fixes the sign of zeros that the
+    probability step's negation relies on.
     """
     K = len(q)
     top = ceil - step - _SLACK
-    ell = next((j for j in range(i + 1, K + 1) if q[j - 1] >= top), K + 1)
-    if i == 0:
-        out, m, x = [min(ceil, qj + step) for qj in q], 0, math.nan
-    else:
+    ell = K + 1
+    for j in range(i + 1, K + 1):
+        if q[j - 1] >= top:
+            ell = j
+            break
+    m, x = 0, math.nan
+    if i:
         # scan the pooled-block start downward; both conditions are monotone,
         # so the first failure ends the scan
         floor = lo[i - 1]
-        m = i
-        total = q[i - 1]  # sum of q_k over k in [m, i]
+        low, gain = floor - _SLACK, g + _SLACK
+        m, n, total = i, 1, q[i - 1]  # n coordinates [m, i] summing to total
         for j in range(i - 1, 0, -1):
-            cand = total + q[j - 1]
-            if q[j - 1] < floor - _SLACK or cand - (i - j + 1) * q[j - 1] > g + _SLACK:
+            qj = q[j - 1]
+            cand = total + qj
+            if qj < low or cand - (n + 1) * qj > gain:
                 break
-            m, total = j, cand
+            m, n, total = j, n + 1, cand
+        x = max(min(ceil, (total - g) / n), floor)
 
-        x = max(min(ceil, (total - g) / (i - m + 1)), floor)
-        out = list(q[: m - 1]) + [x] * (i - m + 1) + [qj + step for qj in q[i : ell - 1]]
-        out += [ceil] * (K + 1 - ell)
-
+    out = []
     prev = lo[0]  # the clamps started lower, at 0 and -1; lo[0] gives the same
-    for k, (o, f) in enumerate(zip(out, lo)):
+    for k in range(K):
+        f = lo[k]
+        if not i:
+            o = min(ceil, q[k] + step)
+        elif k < m - 1:
+            o = q[k]
+        elif k < i:
+            o = x
+        elif k < ell - 1:
+            o = q[k] + step
+        else:
+            o = ceil
         c = ceil if ceil < o else o
         c = prev if prev > c else c
         prev = f if f > c else c
         if prev != o:  # NaN too
             _check_drift(name, k + 1, o, prev)
-            out[k] = prev
+        out.append(prev)
     return out, m, ell, x
 
 

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
@@ -505,6 +506,47 @@ def test_cli_run_rejects_non_finite_step_size(tmp_path, capsys, learner):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error: learner:")
     assert "positive and finite" in err[0]
+
+
+# each bound is finite, but the first step fbar / dmin is inf or 0.0: both
+# passed parse_config and failed at round 1 with "step size eta must be
+# positive and finite, got inf"
+@pytest.mark.parametrize("fbar, dmin", [("1e300", "1e-300"), ("1e-300", "1e300")],
+                         ids=["overflow", "underflow"])
+def test_harmonic_first_step_is_checked_at_parse_time(tmp_path, capsys, fbar, dmin):
+    text = MINIMAL.replace("alg2(eta=0.01)", f"alg1(harmonic, fbar={fbar}, dmin={dmin})")
+    text = text.replace("T: 10000", "T: 50")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    [message] = err.value.errors
+    assert message == ("learner: fbar, dmin and fbar / dmin must be positive and finite, "
+                       f"got {float(fbar)} and {float(dmin)}")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    assert cli_main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
+
+
+def test_bucket_table_is_bounded_before_it_is_allocated(tmp_path, capsys, monkeypatch):
+    # formerly the dry build asked numpy for 745 GiB and died with a traceback;
+    # the learner's arrays, arange(buckets) and zeros((buckets, K + 1)), must
+    # not even be requested
+    for name in ("arange", "zeros"):
+        def small(shape, *args, _real=getattr(np, name), _name=name, **kwargs):
+            assert np.prod(shape) <= 2**24, f"np.{_name}({shape!r})"
+            return _real(shape, *args, **kwargs)
+        monkeypatch.setattr(np, name, small)
+    text = MINIMAL.replace("alg2(eta=0.01)", "ftl(buckets=100000000000)")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.errors == ["learner: buckets=100000000000 needs 300000000000 table cells, "
+                                "more than 2**24"]
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    assert cli_main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: learner: buckets=100000000000 needs 300000000000 table cells, "
+                   "more than 2**24"]
 
 
 # the anchored gradient sum overflows to -inf mid-run, and project_oracle

@@ -243,6 +243,13 @@ def test_step_sizes_must_be_finite(eta):
         LazyRegularizedBidder(grid, Uniform(), eta)
 
 
+def test_bucket_table_size_is_capped():
+    # 2**24 cells of float64; K=2 has three columns per bucket
+    cap = 2**24 // 3
+    with pytest.raises(ValueError, match=rf"^buckets={cap + 1} needs {3 * cap + 3} table cells"):
+        MeanBasedBucketBidder(BidGrid(2, 0.25), cap + 1)
+
+
 def test_start_points_are_checked_at_the_clamp_tolerance():
     grid = BidGrid(2, 0.25)
     with pytest.raises(ValueError, match="p_1"):
