@@ -21,7 +21,6 @@ scalar result bit for bit.
 from __future__ import annotations
 
 import bisect
-import operator
 
 import numpy as np
 
@@ -64,11 +63,9 @@ def check_thresholds(v, grid: Grid, atol: float = DEFAULT_ATOL):
 
 
 def check_bid_index(i: int, grid: Grid) -> None:
-    """Raise unless i indexes a competing bid on the grid, 0..K."""
-    try:
-        operator.index(i)
-    except TypeError:
-        raise ValueError(f"competing-bid index {i!r} is not an integer") from None
+    """Raise unless i indexes a competing bid on the grid, 0..K; a bool does not."""
+    if type(i) is not int and (isinstance(i, bool) or not hasattr(i, "__index__")):
+        raise ValueError(f"competing-bid index {i!r} is not an integer")
     if not 0 <= i <= grid.K:
         raise ValueError(f"competing-bid index {i} outside 0..{grid.K}")
 

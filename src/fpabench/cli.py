@@ -20,7 +20,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, check_adversary, parse_config, seed_error
+from .config import (_T_MAX, ConfigError, ExperimentConfig, check_adversary, parse_config,
+                     seed_error)
 from .environments import run_single_buyer
 from .learners import MisreportingBidder
 from .metrics import _left_sum, guarantee_caps, ic_gap, myerson_revenue
@@ -47,11 +48,6 @@ def _thread_cap() -> int | None:
 
 def _worker_count(reps: int, cap: int | None) -> int:
     return max(1, min(cap or os.cpu_count() or 1, reps))
-
-
-def _fmt(x) -> str:
-    # repr gives the shortest round-trip decimal for floats
-    return repr(float(x)) if isinstance(x, float) else str(x)
 
 
 _CSV_BLOCK = 64  # trace rows formatted at a time
@@ -216,8 +212,8 @@ def _cmd_sweep(args) -> int:
         points = [int(v) for v in values.split(",")]
     except ValueError:
         points = []
-    if not points or min(points) < 1:
-        print(f"--param T values must be positive integers, got {values!r}",
+    if not points or min(points) < 1 or max(points) > _T_MAX:
+        print(f"--param T values must be integers in 1..2**24, got {values!r}",
               file=sys.stderr)
         return 2
     base = _parse_file(args.config)
@@ -244,7 +240,7 @@ def _cmd_sweep(args) -> int:
                min(s["min_slack"] for s in summaries)
                if summaries[0]["min_slack"] is not None else math.nan,
                sum(s["wall_time_s"] for s in summaries))
-        lines.append(",".join(_fmt(x) for x in row))
+        lines.append(",".join(map(repr, row)))  # ints and Python floats, as in _trace_csv
         print(lines[-1])
     if args.out:
         out = Path(args.out)

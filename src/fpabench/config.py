@@ -38,6 +38,7 @@ from .rng import ADVERSARY, stream_rng
 from .strategies import MisreportMap
 
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_T_MAX = 2**24  # the bucket table's cap; the dry build prepares T rounds of h
 
 
 class ConfigError(ValueError):
@@ -183,6 +184,9 @@ def _build_learner(spec: str, grid: Grid, F: ValueDistribution, T: int):
             if not {"fbar", "dmin"} <= set(kw):
                 raise ValueError("alg1(harmonic) needs fbar=... and dmin=...")
             policy = HarmonicStep(float(kw.pop("fbar")), float(kw.pop("dmin")))
+            if not policy.at(T) > 0.0:  # steps fall with t and the first is checked
+                raise ValueError(f"fbar / (dmin * T) must be positive, got {policy.at(T)} "
+                                 f"for fbar={policy.fbar}, dmin={policy.dmin}, T={T}")
         elif pos:
             raise ValueError(f"unexpected alg1 arguments {pos}")
         else:
@@ -310,6 +314,8 @@ def parse_config(text: str) -> ExperimentConfig:
     T, reps, seed = integer("T", 0), integer("replications", 1), integer("seed", 0)
     if T is not None and T < 1:
         errors.append("T: must be >= 1")
+    elif T is not None and T > _T_MAX:
+        errors.append(f"T: {T} is more than 2**24 rounds")
     if reps is not None and seed is not None and (problem := seed_error(seed, reps)):
         errors.append(problem)
 
@@ -332,7 +338,7 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append("missing key 'adversary'")
 
     # dry-build the grammar-backed pieces so the errors surface here
-    if grid is not None and dist is not None and T is not None and T >= 1:
+    if grid is not None and dist is not None and T is not None and 1 <= T <= _T_MAX:
         if "learner" in data:
             try:
                 _build_learner(learner_spec, grid, dist, T)

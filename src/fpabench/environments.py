@@ -40,8 +40,13 @@ class History:
 
 
 class Adversary:
+    """Oblivious unless it overrides ``next``: ``prepare`` fixes h_1..h_T in ``_h``."""
+
     def prepare(self, T: int, K: int, rng) -> None:
         pass
+
+    def next(self, t, history):
+        return self._h[t - 1]
 
 
 class StochasticCompetition(Adversary):
@@ -51,28 +56,18 @@ class StochasticCompetition(Adversary):
         if not (all(di >= 0 for di in d) and abs(sum(d) - 1.0) <= 1e-9):  # NaN fails
             raise ValueError("invalid competing-bid distribution")
         self.d = list(d)
-        self._draws = None
 
     def prepare(self, T, K, rng):
         if len(self.d) != K + 1:
             raise ValueError(f"distribution has {len(self.d)} weights for K={K}")
-        self._draws = rng.choice(len(self.d), size=T, p=self.d)
-
-    def next(self, t, history):
-        return int(self._draws[t - 1])
+        self._h = rng.choice(len(self.d), size=T, p=self.d).tolist()
 
 
 class LowerBoundCompetition(Adversary):
     """Fair coin between the two lowest bids; the anti-concentration setup."""
 
-    def __init__(self):
-        self._draws = None
-
     def prepare(self, T, K, rng):
-        self._draws = rng.integers(0, 2, size=T)
-
-    def next(self, t, history):
-        return int(self._draws[t - 1])
+        self._h = rng.integers(0, 2, size=T).tolist()
 
 
 class FixedSequence(Adversary):
@@ -85,9 +80,7 @@ class FixedSequence(Adversary):
                              f"fewer than T={T}")
         if not all(0 <= i <= K for i in self.indices):
             raise ValueError(f"fixed h-sequence leaves the grid 0..{K}")
-
-    def next(self, t, history):
-        return self.indices[t - 1]
+        self._h = self.indices
 
 
 class DecreasingReserve(Adversary):
@@ -101,9 +94,8 @@ class DecreasingReserve(Adversary):
     def prepare(self, T, K, rng):
         if not (0 <= self.low <= K and 0 <= self.high <= K):
             raise ValueError(f"reserve index off the grid 0..{K}")
-
-    def next(self, t, history):
-        return self.high if t <= self.switch else self.low
+        s = min(max(self.switch, 0), T)
+        self._h = [self.high] * s + [self.low] * (T - s)
 
 
 class AdaptiveCompetition(Adversary):
@@ -185,9 +177,9 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
     for t in range(1, T + 1):
         strat = learner.strategy()
         history.current_strategy = strat
-        h = operator.index(adversary.next(t, history))
-        if not 0 <= h <= grid.K:
-            raise ValueError(f"adversary returned h={h} at t={t}, outside 0..{grid.K}")
+        h = adversary.next(t, history)
+        if isinstance(h, bool) or not 0 <= (h := operator.index(h)) <= grid.K:
+            raise ValueError(f"adversary returned h={h!r} at t={t}, not an index in 0..{grid.K}")
         plays.record(strat)
 
         if sampled:
@@ -263,7 +255,7 @@ def _reserve_index(r, t: int, K: int) -> int:
         i = operator.index(r)
     except TypeError:
         i = -1
-    if not 0 <= i <= K:
+    if isinstance(r, bool) or not 0 <= i <= K:
         raise ValueError(f"reserve {r!r} at t={t} is not a grid index in 0..{K}")
     return i
 

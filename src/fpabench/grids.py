@@ -36,6 +36,8 @@ class BidGrid:
             raise ValueError("grid spacing eps must be positive")
         if self.K * self.eps > 1.0 + _ATOL:
             raise ValueError("largest bid K*eps must not exceed 1")
+        if self.K > 2**24:  # refused before the bids are built
+            raise ValueError(f"K={self.K} is more than 2**24 bids")
         object.__setattr__(self, "bids", tuple(i * self.eps for i in range(self.K + 1)))
 
 

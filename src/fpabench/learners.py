@@ -89,7 +89,12 @@ class Learner:
     when ``observe`` changes the state it is built from."""
 
     kind: str
-    _strategy: Strategy
+
+    def __init__(self, grid: Grid, strategy: Strategy, last_eta: float = math.nan):
+        self.grid = grid
+        self.t = 1
+        self.last_eta = last_eta
+        self._strategy = strategy
 
     def strategy(self) -> Strategy:
         return self._strategy
@@ -105,18 +110,15 @@ class GradientBidder(Learner):
     kind = "alg1"
 
     def __init__(self, grid: Grid, F: ValueDistribution, policy, p1=None):
-        self.grid = grid
         self.F = F
         self.policy = policy
         self.p = [0.0] * grid.K if p1 is None else list(p1)
         check_probabilities(self.p, grid, F, atol=CLAMP_TOL)
-        self.t = 1
-        self.last_eta = policy.at(1)
         if isinstance(grid, BidGrid):  # the chain step's floors, -(1 - F(b_j))
             self._floors, self._poly = [-(1.0 - F.cdf(b)) for b in grid.bids[1:]], None
         else:
             self._floors, self._poly = None, probability_polytope(grid, F)
-        self._strategy = ProbabilityStrategy(grid, F, tuple(self.p))
+        super().__init__(grid, ProbabilityStrategy(grid, F, tuple(self.p)), policy.at(1))
 
     def observe(self, h: int) -> None:
         eta = self.policy.at(self.t)
@@ -146,15 +148,11 @@ class ThresholdBidder(Learner):
     def __init__(self, grid: Grid, eta: float, v1=None):
         if not isinstance(grid, BidGrid):
             raise TypeError("threshold learner requires a uniform bid grid")
-        self.grid = grid
         self.eta = eta
         self.v = [1.0] * grid.K if v1 is None else list(v1)
         check_thresholds(self.v, grid, atol=CLAMP_TOL)
-        if not 0.0 < eta < math.inf:
-            raise ValueError(f"step size must be positive and finite, got {eta}")
-        self.t = 1
-        self.last_eta = eta
-        self._strategy = ThresholdStrategy(grid, tuple(self.v))
+        FixedStep(eta)  # raises unless eta is positive and finite
+        super().__init__(grid, ThresholdStrategy(grid, tuple(self.v)), eta)
 
     def observe(self, h: int) -> None:
         # ga_step_thresholds unchecked: v1 was checked, later v are the step's output
@@ -183,15 +181,12 @@ class MeanBasedBucketBidder(Learner):
         if buckets * (grid.K + 1) > 2**24:  # refused before np.zeros allocates the table
             raise ValueError(f"buckets={buckets} needs {buckets * (grid.K + 1)} table cells, "
                              "more than 2**24")
-        self.grid = grid
         self.buckets = buckets
         self._bids = np.asarray(grid.bids)
         self._mids = (np.arange(buckets) + 0.5) / buckets
         self._table = np.zeros((buckets, grid.K + 1))
         self._choice = tuple([0] * buckets)
-        self._strategy = BucketStrategy(grid, self._choice)
-        self.t = 1
-        self.last_eta = math.nan
+        super().__init__(grid, BucketStrategy(grid, self._choice))
 
     def observe(self, h: int) -> None:
         check_bid_index(h, self.grid)
@@ -213,9 +208,7 @@ class LazyRegularizedBidder(Learner):
     kind = "lazyftrl"
 
     def __init__(self, grid: Grid, F: ValueDistribution, eta: float, p1=None):
-        if not 0.0 < eta < math.inf:
-            raise ValueError(f"step size must be positive and finite, got {eta}")
-        self.grid = grid
+        FixedStep(eta)  # raises unless eta is positive and finite
         self.F = F
         self.eta = eta
         self.p1 = [0.0] * grid.K if p1 is None else list(p1)
@@ -223,9 +216,7 @@ class LazyRegularizedBidder(Learner):
         self.p = list(self.p1)
         self._gsum = [0.0] * grid.K
         self._poly = probability_polytope(grid, F)
-        self._strategy = ProbabilityStrategy(grid, F, tuple(self.p))
-        self.t = 1
-        self.last_eta = eta
+        super().__init__(grid, ProbabilityStrategy(grid, F, tuple(self.p)), eta)
 
     def observe(self, h: int) -> None:
         g = utility_gradient(self.grid, self.F, self.p, h)
@@ -276,11 +267,8 @@ class FixedStrategyBidder(Learner):
 
     def __init__(self, grid: Grid, v):
         check_thresholds(v, grid)
-        self.grid = grid
         self.v = tuple(v)
-        self._strategy = ThresholdStrategy(grid, self.v)
-        self.t = 1
-        self.last_eta = math.nan
+        super().__init__(grid, ThresholdStrategy(grid, self.v))
 
     def observe(self, h: int) -> None:
         check_bid_index(h, self.grid)

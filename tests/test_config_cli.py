@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpabench.cli import main as cli_main
 from fpabench.config import ConfigError, parse_config, parse_misreport_table
@@ -583,3 +587,97 @@ def test_cli_run_reports_a_run_time_error_through_the_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+# the first step fbar / dmin is fine but a later one is not: dmin * t
+# overflows to inf near t = 18,000, or fbar / (dmin * t) underflows, so the
+# step became 0.0 and the run stopped mid-way
+@pytest.mark.parametrize("fbar, dmin", [("1e300", "1e304"), ("1e-320", "1")],
+                         ids=["overflow", "underflow"])
+def test_harmonic_last_step_is_checked_at_parse_time(tmp_path, capsys, fbar, dmin):
+    text = MINIMAL.replace("alg2(eta=0.01)", f"alg1(harmonic, fbar={fbar}, dmin={dmin})")
+    text = text.replace("T: 10000", "T: 20000")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    [message] = err.value.errors
+    assert message == ("learner: fbar / (dmin * T) must be positive, got 0.0 "
+                       f"for fbar={float(fbar)}, dmin={float(dmin)}, T=20000")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    assert cli_main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
+    assert parse_config(text.replace("T: 20000", "T: 1500")).T == 1500
+
+
+def test_horizon_is_capped_before_the_dry_build(tmp_path, capsys, monkeypatch):
+    # formerly T had no bound: the dry build drew or built T competing bids
+    def refuse(self, T, K, rng):
+        raise AssertionError(f"prepare({T}) was called")
+    for cls in (StochasticCompetition, LowerBoundCompetition, DecreasingReserve):
+        monkeypatch.setattr(cls, "prepare", refuse)
+    big = 2**24 + 1
+    for adversary in ("stochastic(0.5,0.25,0.25)", "lowerbound", "decreasing(5,2,1)"):
+        text = MINIMAL.replace("T: 10000", f"T: {big}").replace(
+            "stochastic(0.5,0.25,0.25)", adversary)
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.errors == [f"T: {big} is more than 2**24 rounds"]
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    assert cli_main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"config error: T: {big} is more than 2**24 rounds"]
+    cfg.write_text(MINIMAL.replace("T: 10000", "T: 50"))
+    assert cli_main(["sweep", "--config", str(cfg), "--param", f"T=50,{big}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        f"--param T values must be integers in 1..2**24, got '50,{big}'"]
+
+
+# extreme numbers for the grammar's number slots; every size they reach is
+# either small or refused before anything is allocated
+_EXTREMES = ["0", "-0.0", "-1", "-2.5", "5e-324", "2.2e-308", "1e-300", "0.5", "1.5", "2",
+             "1e308", "1.0e+308", "-1e308", "inf", "-inf", "nan", ".inf", ".nan",
+             "100000000000000000000", "1.0e+30", "-100000000000000000000"]
+
+
+@st.composite
+def _extreme_configs(draw):
+    # a valid config with one to three number slots replaced by extremes
+    hot = draw(st.sets(st.sampled_from("K eps bid a b knot eta fbar dmin buckets map w "
+                                       "switch hi lo T seed".split()), min_size=1, max_size=3))
+    x = lambda slot, valid: draw(st.sampled_from(_EXTREMES)) if slot in hot else valid
+    grid = draw(st.sampled_from([f"{{K: {x('K', 2)}, eps: {x('eps', 0.25)}}}",
+                                 f"{{bids: [0, 0.25, {x('bid', 0.5)}]}}"]))
+    dist = draw(st.sampled_from([
+        "uniform", f"uniform({x('a', 0)}, {x('b', 1)})", f"equirev({x('a', 0.1)})",
+        f"pwl(0:0, {x('knot', 0.5)}:{x('b', 0.5)}, 1:1)"]))
+    inner = draw(st.sampled_from([
+        f"alg1(eta={x('eta', 0.05)})", f"alg1(harmonic, fbar={x('fbar', 1)}, dmin={x('dmin', 2)})",
+        f"alg2(eta={x('eta', 0.05)})", f"ftl(buckets={x('buckets', 8)})",
+        f"lazyftrl(eta={x('eta', 0.05)})"]))
+    learner = draw(st.sampled_from([inner,
+                                    f"misreport({inner}, map=0:0;{x('map', 0.5)}:0.25;1:1)"]))
+    adversary = draw(st.sampled_from([
+        f"stochastic({x('w', 0.5)}, 0.25, 0.25)", "lowerbound",
+        f"decreasing({x('switch', 10)}, {x('hi', 2)}, {x('lo', 1)})"]))
+    mode = draw(st.sampled_from(["exact", "sampled"]))
+    return (f"grid: {grid}\ndist: {dist}\nlearner: {learner}\nadversary: {adversary}\n"
+            f"T: {x('T', 50)}\nseed: {x('seed', 3)}\nmode: {mode}\nbenchmark: final\n")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=_extreme_configs())
+def test_cli_run_fails_in_one_line_on_extreme_numbers(tmp_path_factory, text):
+    # in process, an exception that would print a traceback propagates here
+    cfg = tmp_path_factory.getbasetemp() / "extreme.yaml"
+    cfg.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(["run", "--config", str(cfg)])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (text, err.getvalue())
+    assert "Traceback" not in err.getvalue(), text

@@ -281,6 +281,7 @@ def test_multi_buyer_rejects_a_short_reserve_sequence_before_the_first_round():
 @pytest.mark.parametrize("reserve,t,shown", [
     (9, 1, "9"), (-1, 1, "-1"), (2.5, 1, "2.5"),
     ([4] * 40 + [9] * 10, 41, "9"), ([4] * 7 + [3.0] * 43, 8, "3.0"),
+    (True, 1, "True"),  # ran with reserve 1
 ])
 def test_multi_buyer_rejects_an_off_grid_reserve_before_the_first_round(reserve, t, shown):
     # unchecked, a bad sequence entry failed only when its round came up,
@@ -293,7 +294,7 @@ def test_multi_buyer_rejects_an_off_grid_reserve_before_the_first_round(reserve,
     assert all(lrn.t == 1 for lrn in learners)
 
 
-@pytest.mark.parametrize("bad", [2.5, 4.0, 5, -1])
+@pytest.mark.parametrize("bad", [2.5, 4.0, 5, -1, True])
 def test_multi_buyer_rejects_a_callable_reserve_off_the_grid(bad):
     # unchecked, 2.5 and 4.0 raised a TypeError from tuple indexing
     g = BidGrid(4, 0.125)
@@ -305,17 +306,18 @@ def test_multi_buyer_rejects_a_callable_reserve_off_the_grid(bad):
 
 
 def test_multi_buyer_reads_a_callable_reserve_as_an_index():
-    # unchecked, a callable returning True wrote True into h_index
+    # unchecked, a callable returning True wrote True into h_index; a bool is
+    # now refused, see test_multi_buyer_rejects_a_callable_reserve_off_the_grid
     g = BidGrid(4, 0.125)
 
     def run(reserve):
         learners = [ThresholdBidder(g, 0.01) for _ in range(3)]
         return run_multi_buyer(g, [Uniform()] * 3, learners, reserve, 200, seed=7)
 
-    got = run(lambda t: True)
+    got = run(lambda t: np.int64(1))
     assert all(type(h) is int for hs in got.h_index for h in hs)
     assert repr(got.h_index) == repr(run(1).h_index)
-    assert got.revenue == run(lambda t: np.int64(1)).revenue
+    assert got.revenue == run(lambda t: 1).revenue
 
 
 @pytest.mark.parametrize("make", [
@@ -323,7 +325,7 @@ def test_multi_buyer_reads_a_callable_reserve_as_an_index():
     lambda: LazyRegularizedBidder(GRID, Uniform(), 0.05),
     lambda: GradientBidder(GRID, Uniform(), FixedStep(0.05)),
 ], ids=["ftl", "lazyftrl", "alg1"])
-@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("bad", [-1, 3, True])  # True recorded h=1
 def test_adversary_h_off_the_grid_is_rejected(make, bad):
     adv = AdaptiveCompetition(lambda t, history: 1 if t == 1 else bad)
     with pytest.raises(ValueError, match=f"h={bad} at t=2"):

@@ -1,7 +1,9 @@
+import builtins
 import re
 
 import pytest
 
+from fpabench import grids
 from fpabench.environments import DecreasingReserve, FixedSequence
 from fpabench.grids import BidGrid, IrregularBidGrid
 from fpabench.learners import MeanBasedBucketBidder, ThresholdBidder
@@ -41,10 +43,25 @@ def test_uniform_grid_validation():
      "competing-bid index 1.0 is not an integer"),
     (lambda: ThresholdBidder(BidGrid(2, 0.25), 0.1).observe(1.0),
      "competing-bid index 1.0 is not an integer"),
+    # True stepped as h=1
+    (lambda: ThresholdBidder(BidGrid(2, 0.25), 0.1).observe(True),
+     "competing-bid index True is not an integer"),
 ])
 def test_integer_arguments_are_checked_where_they_enter(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
+
+
+def test_uniform_grid_size_is_capped_before_the_bids_are_built(monkeypatch):
+    # K=10**12 with eps=1e-12 passed every check and died building its bids
+    # with a MemoryError; neither size below may even start them
+    def small(n):
+        assert n <= 2**24 + 1, f"range({n})"
+        return builtins.range(n)
+    monkeypatch.setattr(grids, "range", small, raising=False)
+    for K, eps in [(2**24 + 1, 2.0**-25), (10**12, 1e-12)]:
+        with pytest.raises(ValueError, match=f"^K={K} is more than 2\\*\\*24 bids$"):
+            BidGrid(K, eps)
 
 
 def test_irregular_grid_size():
