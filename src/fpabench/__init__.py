@@ -42,7 +42,6 @@ from .learners import (
 )
 from .metrics import (
     BenchmarkReport,
-    check_ic_step,
     check_regret_step,
     check_robustness_step,
     ic_gap,

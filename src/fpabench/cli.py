@@ -20,8 +20,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .config import (_T_MAX, ConfigError, ExperimentConfig, check_adversary, parse_config,
-                     seed_error)
+from .config import _T_MAX, ConfigError, ExperimentConfig, _dry_build, parse_config, seed_error
 from .environments import run_single_buyer
 from .learners import MisreportingBidder
 from .metrics import _left_sum, guarantee_caps, ic_gap, myerson_revenue
@@ -50,7 +49,10 @@ def _worker_count(reps: int, cap: int | None) -> int:
     return max(1, min(cap or os.cpu_count() or 1, reps))
 
 
-_CSV_BLOCK = 64  # trace rows formatted at a time
+# trace rows formatted at a time.  One join over all rows is byte-identical and 2% faster
+# (4.24 -> 4.16 ms at T=1500; 2-vCPU Xeon, Python 3.11.7), but raises the formatter's
+# tracemalloc peak 20%: 0.42 -> 0.50 MB at T=1500, 27.9 -> 33.4 MB at T=10^5
+_CSV_BLOCK = 64
 
 
 def _trace_csv(trace) -> str:
@@ -219,11 +221,9 @@ def _cmd_sweep(args) -> int:
     base = _parse_file(args.config)
     if base is None:
         return 1
-    for T in points:
-        try:
-            check_adversary(base.adversary_spec, base.grid.K, T)
-        except (ValueError, OSError) as exc:
-            print(f"config error at T={T}: adversary: {exc}", file=sys.stderr)
+    for T in points:  # every point is built before any runs
+        if errors := _dry_build(base.grid, base.dist, T, base.learner_spec, base.adversary_spec):
+            print("\n".join(f"config error at T={T}: {e}" for e in errors), file=sys.stderr)
             return 1
     lines = ["T,regret,revenue_excess,ic_gap,min_slack,wall_time_s"]
     print(lines[0])

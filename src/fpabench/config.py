@@ -9,6 +9,7 @@ finds, not just the first, each integer error naming its argument.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -200,7 +201,11 @@ def _build_learner(spec: str, grid: Grid, F: ValueDistribution, T: int):
                else default_eta_threshold(F.density_bound, T))
         if pos or kw:
             raise ValueError("alg2 takes only eta=...")
-        return ThresholdBidder(grid, eta)
+        learner = ThresholdBidder(grid, eta)  # checks eta by itself first
+        if math.isinf(eta * F.density_bound) and math.isfinite(F.density_bound):
+            raise ValueError(f"eta * density bound overflows for eta={eta}, "
+                             f"density bound {F.density_bound}")
+        return learner
     if name == "ftl":
         buckets = _integer(kw.pop("buckets", 64), "buckets")
         if pos or kw:
@@ -218,13 +223,6 @@ def _build_learner(spec: str, grid: Grid, F: ValueDistribution, T: int):
         inner = _build_learner(pos[0], grid, F, T)
         return MisreportingBidder(inner, parse_misreport_table(kw["map"]))
     raise ValueError(f"unknown learner {name!r}")
-
-
-def check_adversary(spec: str, K: int, T: int) -> None:
-    """Build the adversary and prepare it for horizon T, so that what its
-    own ``prepare`` rejects (a short or off-grid sequence, a weight vector
-    of the wrong length, a reserve off the grid) raises here, not in a run."""
-    _build_adversary(spec).prepare(T, K, stream_rng(0, ADVERSARY))
 
 
 def _build_adversary(spec: str) -> Adversary:
@@ -248,6 +246,23 @@ def _build_adversary(spec: str) -> Adversary:
             raise ValueError("lowerbound takes no arguments")
         return LowerBoundCompetition()
     raise ValueError(f"unknown adversary {name!r}")
+
+
+def _dry_build(grid: Grid, F: ValueDistribution, T: int, learner_spec, adversary_spec):
+    """The error lines of building the learner and preparing the adversary for
+    horizon T, as a run would; a spec of None is skipped."""
+    errors = []
+    if learner_spec is not None:
+        try:
+            _build_learner(learner_spec, grid, F, T)
+        except (ValueError, TypeError, OSError) as exc:
+            errors.append(f"learner: {exc}")
+    if adversary_spec is not None:
+        try:
+            _build_adversary(adversary_spec).prepare(T, grid.K, stream_rng(0, ADVERSARY))
+        except (ValueError, OSError) as exc:
+            errors.append(f"adversary: {exc}")
+    return errors
 
 
 def _expand_preset(spec: str, data: dict, errors: list):
@@ -337,18 +352,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if "adversary" not in data:
         errors.append("missing key 'adversary'")
 
-    # dry-build the grammar-backed pieces so the errors surface here
     if grid is not None and dist is not None and T is not None and 1 <= T <= _T_MAX:
-        if "learner" in data:
-            try:
-                _build_learner(learner_spec, grid, dist, T)
-            except (ValueError, TypeError, OSError) as exc:
-                errors.append(f"learner: {exc}")
-        if "adversary" in data:
-            try:
-                check_adversary(adversary_spec, grid.K, T)
-            except (ValueError, OSError) as exc:
-                errors.append(f"adversary: {exc}")
+        errors += _dry_build(grid, dist, T, learner_spec if "learner" in data else None,
+                             adversary_spec if "adversary" in data else None)
 
     if errors:
         raise ConfigError(errors)

@@ -75,8 +75,9 @@ class Uniform:
 
     def cdf_array(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x <= self.a, 0.0,
-                        np.where(x >= self.b, 1.0, (x - self.a) / (self.b - self.a)))
+        with np.errstate(over="ignore"):  # off a tiny support; np.where discards it
+            return np.where(x <= self.a, 0.0,
+                            np.where(x >= self.b, 1.0, (x - self.a) / (self.b - self.a)))
 
     def quantile_array(self, y):
         y = np.asarray(y, dtype=float)
@@ -93,8 +94,9 @@ class Uniform:
         x = np.asarray(x, dtype=float)
         w = self.b - self.a
         d = self.b - x
-        return np.where(x >= self.b, 0.0,
-                        np.where(x >= self.a, d * d / (2.0 * w), (self.a - x) + 0.5 * w))
+        with np.errstate(over="ignore"):  # past a tiny support; np.where discards it
+            return np.where(x >= self.b, 0.0,
+                            np.where(x >= self.a, d * d / (2.0 * w), (self.a - x) + 0.5 * w))
 
     @property
     def density_bound(self) -> float:
@@ -177,11 +179,11 @@ class EqualRevenue:
 
     def cdf_array(self, x):
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):  # in branches np.where discards
             middle = 1.0 - 1.0 / (8.0 * x)
+            patch = 1.0 - (1.0 - x) / self._c  # overflows below the knee for a tiny delta
         return np.where(x <= 0.125, 0.0,
-                        np.where(x < self._knee, middle,
-                                 np.where(x >= 1.0, 1.0, 1.0 - (1.0 - x) / self._c)))
+                        np.where(x < self._knee, middle, np.where(x >= 1.0, 1.0, patch)))
 
     def quantile_array(self, y):
         y = np.asarray(y, dtype=float)

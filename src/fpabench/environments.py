@@ -129,6 +129,17 @@ class Trace:
     payment: list | None = None
 
 
+def _grid_index(value, t: int, K: int, label: str) -> int:
+    """value as an int in 0..K, or a ValueError naming it and round t."""
+    try:
+        i = operator.index(value)
+    except TypeError:
+        i = -1
+    if isinstance(value, bool) or not 0 <= i <= K:
+        raise ValueError(f"{label}{value!r} at t={t} is not a grid index in 0..{K}")
+    return i
+
+
 def _check_horizon(T) -> int:
     if isinstance(T, bool) or not isinstance(T, numbers.Integral) or T < 1:
         raise ValueError(f"T must be a positive integer, got {T!r}")
@@ -172,14 +183,14 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
     # the adversary reads the recorded columns, which grow round by round
     history = History(past_h=tr.h_index, past_values=tr.value if sampled else [])
     plays = Plays()
-    bids = grid.bids
+    bids, K = grid.bids, grid.K
 
     for t in range(1, T + 1):
         strat = learner.strategy()
         history.current_strategy = strat
         h = adversary.next(t, history)
-        if isinstance(h, bool) or not 0 <= (h := operator.index(h)) <= grid.K:
-            raise ValueError(f"adversary returned h={h!r} at t={t}, not an index in 0..{grid.K}")
+        if not (type(h) is int and 0 <= h <= K):
+            h = _grid_index(h, t, K, "adversary returned h=")
         plays.record(strat)
 
         if sampled:
@@ -250,26 +261,16 @@ class MultiBuyerResult:
     winner: list        # buyer id or -1 for no sale
 
 
-def _reserve_index(r, t: int, K: int) -> int:
-    try:
-        i = operator.index(r)
-    except TypeError:
-        i = -1
-    if isinstance(r, bool) or not 0 <= i <= K:
-        raise ValueError(f"reserve {r!r} at t={t} is not a grid index in 0..{K}")
-    return i
-
-
 def run_multi_buyer(grid: Grid, distributions, learners, reserve, T: int,
                     seed: int = 0) -> MultiBuyerResult:
     """Simultaneous learners in a first-price auction with reserve and ranking.
 
     ``reserve`` is a grid index, a per-round sequence, or a callable t ->
-    index; an index or a sequence is checked in full before the first
-    round.  Ties go to the buyer with the best (lowest) ranking draw.
-    Sampled mode only: values are realized, bids are realized.  Each
-    round is one pass over the buyers: every buyer's h is
-    ``effective_competing_bid`` against its strongest rival alone.
+    index; each is read for all T rounds and checked before the first.
+    Ties go to the buyer with the best (lowest) ranking draw.  Sampled
+    mode only: values are realized, bids are realized.  Each round is one
+    pass over the buyers: every buyer's h is ``effective_competing_bid``
+    against its strongest rival alone.
     """
     T = _check_horizon(T)
     n = len(distributions)
@@ -279,15 +280,13 @@ def run_multi_buyer(grid: Grid, distributions, learners, reserve, T: int,
         raise ValueError("every learner must bid on the auction's grid")
     K = grid.K
     if callable(reserve):
-        reserve_at = lambda t: _reserve_index(reserve(t), t, K)
+        reserve = map(reserve, range(1, T + 1))
+    if hasattr(reserve, "__index__") or not hasattr(reserve, "__iter__"):
+        seq = [_grid_index(reserve, 1, K, "reserve ")] * T
     else:
-        if hasattr(reserve, "__index__") or not hasattr(reserve, "__iter__"):
-            seq = [_reserve_index(reserve, 1, K)] * T
-        else:
-            seq = [_reserve_index(r, t, K) for t, r in zip(range(1, T + 1), reserve)]
-        if len(seq) < T:
-            raise ValueError(f"reserve sequence covers {len(seq)} of {T} rounds")
-        reserve_at = lambda t: seq[t - 1]
+        seq = [_grid_index(r, t, K, "reserve ") for t, r in zip(range(1, T + 1), reserve)]
+    if len(seq) < T:
+        raise ValueError(f"reserve sequence covers {len(seq)} of {T} rounds")
 
     value_rows = np.column_stack([F.quantile_array(stream_rng(seed, VALUES, i).random(T))
                                   for i, F in enumerate(distributions)]).tolist()
@@ -295,8 +294,7 @@ def run_multi_buyer(grid: Grid, distributions, learners, reserve, T: int,
     bids = grid.bids
 
     res = MultiBuyerResult([], [], [], [], [], [])
-    for t, vals, scores in zip(range(1, T + 1), value_rows, score_rows):
-        r = reserve_at(t)
+    for r, vals, scores in zip(seq, value_rows, score_rows):
         bvec = [lrn.strategy().bid_index(v) for lrn, v in zip(learners, vals)]
 
         # champion c (bid bc, draw sc) and runner-up (bd, sd): highest bid,

@@ -25,7 +25,6 @@ from .auction import (
 )
 from .distributions import EqualRevenue, PiecewiseLinearCDF, Uniform, ValueDistribution
 from .grids import Grid
-from .strategies import MisreportMap
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +196,8 @@ def robustness_columns(grid: Grid, F: ValueDistribution, states, h, eta,
     states, eta = np.asarray(states, dtype=float), np.asarray(eta, dtype=float)
     before = states[:-1]
     if kind == "alg1":
-        total, scale = _left_sums(states * states), 2.0 * eta
+        with np.errstate(over="ignore"):  # eta near the float limit: potential 0, as in 1/inf
+            total, scale = _left_sums(states * states), 2.0 * eta
         p = before
         bound = mye + eta
     elif kind == "alg2":
@@ -210,18 +210,6 @@ def robustness_columns(grid: Grid, F: ValueDistribution, states, h, eta,
     dphi = total[1:] / scale - phi
     rev = revenue_rows(grid, p)[np.arange(len(eta)), h]
     return bound - (dphi + rev), phi
-
-
-def _step_slack(grid: Grid, before, after, vstar: float, h: int, eta: float,
-                w: int, potential) -> float:
-    """Slack of one telescoping step: comparison bid b_w, potential(v)."""
-    u = bid_for_value(before, vstar)
-    bids = grid.bids
-    R = ((vstar - bids[w]) * (1 if h <= w else 0)
-         - (vstar - bids[u]) * (1 if h <= u else 0))
-    dphi = potential(after) - potential(before)
-    near = min(abs(vj - vstar) for vj in before) <= eta
-    return (3.0 if near else 0.0) - (dphi + R)
 
 
 def check_regret_step(grid: Grid, before, after, benchmark, vstar: float,
@@ -239,21 +227,13 @@ def check_regret_step(grid: Grid, before, after, benchmark, vstar: float,
         return (_left_sum(vstar - vj for vj in v if vstar > vj)
                 + _left_sum(v[:istar])) / eta
 
-    return _step_slack(grid, before, after, vstar, h, eta, istar, potential)
-
-
-def check_ic_step(grid: Grid, before, after, report: MisreportMap, vstar: float,
-                  h: int, eta: float) -> float:
-    """Slack of the per-round misreport-gain inequality (same machinery,
-    different potential table)."""
-    mstar = report(vstar)
-
-    def potential(v):
-        return (_left_sum(vstar - vj for vj in v if vstar > vj)
-                - _left_sum(mstar - vj for vj in v if mstar > vj)) / eta
-
-    return _step_slack(grid, before, after, vstar, h, eta,
-                       bid_for_value(before, mstar), potential)
+    u = bid_for_value(before, vstar)
+    bids = grid.bids
+    R = ((vstar - bids[istar]) * (1 if h <= istar else 0)
+         - (vstar - bids[u]) * (1 if h <= u else 0))
+    dphi = potential(after) - potential(before)
+    near = min(abs(vj - vstar) for vj in before) <= eta
+    return (3.0 if near else 0.0) - (dphi + R)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -681,3 +682,40 @@ def test_cli_run_fails_in_one_line_on_extreme_numbers(tmp_path_factory, text):
             code = exc.code
     assert code in (0, 1, 2), (text, err.getvalue())
     assert "Traceback" not in err.getvalue(), text
+
+
+# a branch np.where discards overflowed, or (alg2) the robustness bound
+# mye + eta * fbar did and summary.json read "min_slack": Infinity
+@pytest.mark.parametrize("dist, learner, code", [
+    ("uniform(0, 5e-324)", "ftl(buckets=8)", 0),        # Uniform.cdf_array
+    ("uniform(0, 5e-324)", "alg2(eta=0.05)", 0),        # and survival_integral_array
+    ("equirev(5e-324)", "alg2(eta=0.05)", 0),           # EqualRevenue.cdf_array's patch
+    ("uniform", "alg1(eta=1.0e+308)", 0),               # robustness_columns' 2 * eta
+    ("uniform(0.5, 0.5000000000000001)", "alg2(eta=1.0e+308)", 1),
+], ids=["uniform-cdf", "uniform-survival", "equirev-patch", "alg1-scale", "alg2-bound"])
+def test_cli_run_on_overflowing_numbers_warns_nothing(tmp_path, capsys, dist, learner, code):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL.replace("dist: uniform", f"dist: {dist}").replace(
+        "alg2(eta=0.01)", learner).replace("T: 10000", "T: 50"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli_main(["run", "--config", str(cfg)]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    if code:
+        assert err == ["config error: learner: eta * density bound overflows for eta=1e+308, "
+                       "density bound 9007199254740992.0"]
+    else:
+        assert err == []
+
+
+def test_cli_sweep_builds_the_learner_at_every_point_before_any_runs(tmp_path, capsys):
+    # formerly only the adversary was checked: the T=100 row printed, then
+    # the run at T=20000 stopped with "error: fbar / (dmin * T) ..."
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL.replace("alg2(eta=0.01)", "alg1(harmonic, fbar=1e300, dmin=1e304)")
+                   .replace("T: 10000", "T: 100"))
+    assert cli_main(["sweep", "--config", str(cfg), "--param", "T=100,20000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error at T=20000: learner: ")

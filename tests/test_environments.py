@@ -296,13 +296,15 @@ def test_multi_buyer_rejects_an_off_grid_reserve_before_the_first_round(reserve,
 
 @pytest.mark.parametrize("bad", [2.5, 4.0, 5, -1, True])
 def test_multi_buyer_rejects_a_callable_reserve_off_the_grid(bad):
-    # unchecked, 2.5 and 4.0 raised a TypeError from tuple indexing
+    # unchecked, 2.5 and 4.0 raised a TypeError from tuple indexing; checked
+    # round by round, the learners had moved 5 rounds before the error
     g = BidGrid(4, 0.125)
     learners = [ThresholdBidder(g, 0.01) for _ in range(3)]
     with pytest.raises(ValueError, match=rf"reserve {re.escape(repr(bad))} at t=6 "
                                          r"is not a grid index in 0\.\.4"):
         run_multi_buyer(g, [Uniform()] * 3, learners, lambda t: 1 if t <= 5 else bad,
                         50, seed=7)
+    assert all(lrn.t == 1 for lrn in learners)
 
 
 def test_multi_buyer_reads_a_callable_reserve_as_an_index():
@@ -325,11 +327,19 @@ def test_multi_buyer_reads_a_callable_reserve_as_an_index():
     lambda: LazyRegularizedBidder(GRID, Uniform(), 0.05),
     lambda: GradientBidder(GRID, Uniform(), FixedStep(0.05)),
 ], ids=["ftl", "lazyftrl", "alg1"])
-@pytest.mark.parametrize("bad", [-1, 3, True])  # True recorded h=1
+# True recorded h=1; 1.5 and np.float64(1.0) raised a TypeError naming no round
+@pytest.mark.parametrize("bad", [-1, 3, True, 1.5, np.float64(1.0)])
 def test_adversary_h_off_the_grid_is_rejected(make, bad):
     adv = AdaptiveCompetition(lambda t, history: 1 if t == 1 else bad)
-    with pytest.raises(ValueError, match=f"h={bad} at t=2"):
+    with pytest.raises(ValueError, match=f"h={re.escape(repr(bad))} at t=2"):
         run_single_buyer(GRID, Uniform(), make(), adv, 5)
+
+
+def test_adversary_numpy_integer_h_is_recorded_as_an_int():
+    adv = AdaptiveCompetition(lambda t, history: np.int64(t % 3))
+    tr = run_single_buyer(GRID, Uniform(), MeanBasedBucketBidder(GRID), adv, 6)
+    assert tr.h_index == [1, 2, 0, 1, 2, 0]
+    assert all(type(h) is int for h in tr.h_index)
 
 
 class _JumpingThresholdBidder(ThresholdBidder):

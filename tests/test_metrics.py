@@ -5,13 +5,13 @@ import pytest
 
 from conftest import make_rng
 from fpabench import metrics
-from fpabench.auction import best_fixed_utility
+from fpabench.auction import best_fixed_utility, bid_for_value
 from fpabench.distributions import EqualRevenue, PiecewiseLinearCDF, Uniform, ValueDistribution
 from fpabench.environments import FixedSequence, StochasticCompetition, run_single_buyer
 from fpabench.grids import BidGrid
 from fpabench.learners import FixedStrategyBidder, ThresholdBidder
 from fpabench.metrics import (
-    check_ic_step,
+    _left_sum,
     check_regret_step,
     check_robustness_step,
     ic_gap,
@@ -138,6 +138,26 @@ def test_regret_step_losing_case_nonnegative():
 def test_regret_step_randomized_batch():
     _, worst = stepineq(make_rng(72), 3000)
     assert worst >= -1e-8
+
+
+def check_ic_step(grid, before, after, report, vstar, h, eta):
+    """Slack of the per-round misreport-gain inequality: the regret step's
+    machinery with the misreport potential table.  A frozen reference with
+    the operations and their order as they were in fpabench.metrics."""
+    mstar = report(vstar)
+
+    def potential(v):
+        return (_left_sum(vstar - vj for vj in v if vstar > vj)
+                - _left_sum(mstar - vj for vj in v if mstar > vj)) / eta
+
+    w = bid_for_value(before, mstar)
+    u = bid_for_value(before, vstar)
+    bids = grid.bids
+    R = ((vstar - bids[w]) * (1 if h <= w else 0)
+         - (vstar - bids[u]) * (1 if h <= u else 0))
+    dphi = potential(after) - potential(before)
+    near = min(abs(vj - vstar) for vj in before) <= eta
+    return (3.0 if near else 0.0) - (dphi + R)
 
 
 def test_ic_step_randomized_batch():
