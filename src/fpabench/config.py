@@ -202,7 +202,7 @@ def _build_learner(spec: str, grid: Grid, F: ValueDistribution, T: int):
         if pos or kw:
             raise ValueError("alg2 takes only eta=...")
         learner = ThresholdBidder(grid, eta)  # checks eta by itself first
-        if math.isinf(eta * F.density_bound) and math.isfinite(F.density_bound):
+        if math.isinf(eta * F.density_bound):
             raise ValueError(f"eta * density bound overflows for eta={eta}, "
                              f"density bound {F.density_bound}")
         return learner

@@ -28,6 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _check_density_bound(F) -> None:
+    # every guarantee cap and robustness bound scales with it
+    if not math.isfinite(F.density_bound):
+        raise ValueError(f"the density bound of {F!r} overflows")
+
+
 def _log(x):
     # numpy's log rounds differently from libm's on some inputs
     return np.fromiter(map(math.log, x.tolist()), float, len(x))
@@ -43,6 +49,7 @@ class Uniform:
     def __post_init__(self):
         if not (0.0 <= self.a < self.b <= 1.0):
             raise ValueError("uniform support needs 0 <= a < b <= 1")
+        _check_density_bound(self)
 
     def cdf(self, x: float) -> float:
         if x <= self.a:
@@ -75,9 +82,8 @@ class Uniform:
 
     def cdf_array(self, x):
         x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):  # off a tiny support; np.where discards it
-            return np.where(x <= self.a, 0.0,
-                            np.where(x >= self.b, 1.0, (x - self.a) / (self.b - self.a)))
+        return np.where(x <= self.a, 0.0,
+                        np.where(x >= self.b, 1.0, (x - self.a) / (self.b - self.a)))
 
     def quantile_array(self, y):
         y = np.asarray(y, dtype=float)
@@ -94,9 +100,8 @@ class Uniform:
         x = np.asarray(x, dtype=float)
         w = self.b - self.a
         d = self.b - x
-        with np.errstate(over="ignore"):  # past a tiny support; np.where discards it
-            return np.where(x >= self.b, 0.0,
-                            np.where(x >= self.a, d * d / (2.0 * w), (self.a - x) + 0.5 * w))
+        return np.where(x >= self.b, 0.0,
+                        np.where(x >= self.a, d * d / (2.0 * w), (self.a - x) + 0.5 * w))
 
     @property
     def density_bound(self) -> float:
@@ -119,6 +124,7 @@ class EqualRevenue:
         # to be nonempty
         if not (0.0 < self.delta < 0.875):
             raise ValueError("delta must lie in (0, 7/8)")
+        _check_density_bound(self)
 
     @property
     def _knee(self) -> float:
@@ -179,9 +185,11 @@ class EqualRevenue:
 
     def cdf_array(self, x):
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):  # in branches np.where discards
+        # 1 / (8x) divides by zero at 0 and overflows at a subnormal x, in a
+        # branch np.where discards
+        with np.errstate(divide="ignore", over="ignore"):
             middle = 1.0 - 1.0 / (8.0 * x)
-            patch = 1.0 - (1.0 - x) / self._c  # overflows below the knee for a tiny delta
+        patch = 1.0 - (1.0 - x) / self._c
         return np.where(x <= 0.125, 0.0,
                         np.where(x < self._knee, middle, np.where(x >= 1.0, 1.0, patch)))
 
@@ -245,6 +253,7 @@ class PiecewiseLinearCDF:
             raise ValueError("x knots must be strictly increasing")
         if not all(y2 >= y1 for y1, y2 in zip(ys, ys[1:])):
             raise ValueError("y knots must be non-decreasing")
+        _check_density_bound(self)
 
     def cdf(self, x: float) -> float:
         xs, ys = self.xs, self.ys

@@ -167,6 +167,8 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
     if learner.grid != grid:
         raise ValueError("every learner must bid on the auction's grid")
     adversary.prepare(T, grid.K, stream_rng(seed, ADVERSARY))
+    if type(adversary).next is Adversary.next:  # oblivious: h_1..h_T are fixed now
+        learner.foresee(adversary._h[:T])
     sampled = mode == "sampled"
     # mapped up front, appended round by round: an adversary sees past values only
     values = F.quantile_array(stream_rng(seed, VALUES).random(T)).tolist() if sampled else None

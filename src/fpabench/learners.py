@@ -2,8 +2,9 @@
 
 All learners share the same tiny interface: ``strategy()`` exposes the
 current round's bidding strategy, ``observe(h)`` consumes the highest
-competing bid (full feedback) and advances exactly one round.  Every
-learner is deterministic given its h-sequence.
+competing bid (full feedback) and advances exactly one round, and
+``foresee(hs)`` hands over the h-sequence of an oblivious adversary first.
+Every learner is deterministic given its h-sequence.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ def default_eta_threshold(fbar: float, T: int) -> float:
 # ---------------------------------------------------------------------------
 # learners
 
+_CHUNK_CELLS = 2**14  # per FTL pass: 51 rounds at K=4, 64 buckets; 1 at the cap
+
 
 class Learner:
     """``strategy()`` returns ``_strategy``, which a learner rebuilds only
@@ -98,6 +101,9 @@ class Learner:
 
     def strategy(self) -> Strategy:
         return self._strategy
+
+    def foresee(self, hs) -> None:
+        """The h of the rounds to come, in order; ``observe`` still gets each one."""
 
 
 class GradientBidder(Learner):
@@ -170,7 +176,8 @@ class MeanBasedBucketBidder(Learner):
     Each bucket tracks the cumulative payoff of every bid against the
     h-history, evaluated at the bucket midpoint, and plays the argmax with
     ties broken toward the smaller bid.  Value-independent updates keep
-    the baseline deterministic.
+    the baseline deterministic.  A foreseen sequence is played in chunked
+    table passes, each h checked as ``observe`` gets it; else a pass is one round.
     """
 
     kind = "ftl"
@@ -181,19 +188,45 @@ class MeanBasedBucketBidder(Learner):
         if buckets * (grid.K + 1) > 2**24:  # refused before np.zeros allocates the table
             raise ValueError(f"buckets={buckets} needs {buckets * (grid.K + 1)} table cells, "
                              "more than 2**24")
-        self.buckets = buckets
-        self._bids = np.asarray(grid.bids)
+        self._bids = np.asarray(grid.bids)[:, None]
         self._mids = (np.arange(buckets) + 0.5) / buckets
-        self._table = np.zeros((buckets, grid.K + 1))
-        self._choice = tuple([0] * buckets)
-        super().__init__(grid, BucketStrategy(grid, self._choice))
+        self._table = np.zeros((grid.K + 1, buckets))  # [j, b]: bid j's payoff sum at mid b
+        # rounds per pass: a chunk's working set is bounded in cells, not rounds
+        self._chunk = max(1, _CHUNK_CELLS // (buckets * (grid.K + 1)))
+        self.foresee(())
+        super().__init__(grid, BucketStrategy(grid, (0,) * buckets))
+
+    def foresee(self, hs) -> None:
+        hs = np.asarray(hs)
+        # a non-integer h is left to the run loop's check, which names its round
+        self._ahead = hs if hs.dtype.kind in "iu" else hs[:0]
+        self._hs, self._i = [], 0
+
+    def _pass(self, hs) -> None:
+        """Tables and strategies after each round of hs, in one array pass."""
+        j = np.arange(self.grid.K + 1)[:, None]
+        # row r: round r's gains on the bids j >= h_r; np.where, not a 0/1
+        # product, so a masked cell adds +0.0, never -0.0
+        acc = np.where(j >= hs[:, None, None], self._mids - self._bids, 0.0)
+        acc[0] += self._table
+        np.add.accumulate(acc, axis=0, out=acc)  # row r: the table after round r
+        choice = acc.argmax(axis=1)  # the first maximum: ties to the smaller bid
+        before = np.concatenate((self._table.argmax(axis=0)[None], choice[:-1]))
+        changed = (choice != before).any(axis=1)
+        self._new = {r: BucketStrategy(self.grid, tuple(choice[r].tolist()))
+                     for r in np.flatnonzero(changed).tolist()}
+        self._hs, self._acc, self._i = hs.tolist(), acc, 0
 
     def observe(self, h: int) -> None:
         check_bid_index(h, self.grid)
-        self._table[:, h:] += self._mids[:, None] - self._bids[None, h:]
-        choice = tuple(np.argmax(self._table, axis=1).tolist())
-        if choice != self._choice:
-            self._choice, self._strategy = choice, BucketStrategy(self.grid, choice)
+        if self._i == len(self._hs):  # the pass is played out: take the next chunk
+            ahead, self._ahead = self._ahead[:self._chunk], self._ahead[self._chunk:]
+            self._pass(ahead if len(ahead) else np.array([h]))
+        i = self._i
+        if h != self._hs[i]:
+            raise ValueError(f"observed h={h} at t={self.t}, but h={self._hs[i]} was foreseen")
+        self._table, self._strategy = self._acc[i], self._new.get(i, self._strategy)
+        self._i += 1
         self.t += 1
 
 
@@ -255,6 +288,9 @@ class MisreportingBidder(Learner):
         if self._strategy is None or self._strategy.inner is not inner:
             self._strategy = ComposedStrategy(inner, self.report)
         return self._strategy
+
+    def foresee(self, hs) -> None:
+        self.inner.foresee(hs)
 
     def observe(self, h: int) -> None:
         self.inner.observe(h)

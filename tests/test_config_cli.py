@@ -684,28 +684,29 @@ def test_cli_run_fails_in_one_line_on_extreme_numbers(tmp_path_factory, text):
     assert "Traceback" not in err.getvalue(), text
 
 
-# a branch np.where discards overflowed, or (alg2) the robustness bound
-# mye + eta * fbar did and summary.json read "min_slack": Infinity
-@pytest.mark.parametrize("dist, learner, code", [
-    ("uniform(0, 5e-324)", "ftl(buckets=8)", 0),        # Uniform.cdf_array
-    ("uniform(0, 5e-324)", "alg2(eta=0.05)", 0),        # and survival_integral_array
-    ("equirev(5e-324)", "alg2(eta=0.05)", 0),           # EqualRevenue.cdf_array's patch
-    ("uniform", "alg1(eta=1.0e+308)", 0),               # robustness_columns' 2 * eta
-    ("uniform(0.5, 0.5000000000000001)", "alg2(eta=1.0e+308)", 1),
+# a branch np.where discards overflowed, or a bound did and summary.json read
+# "min_slack": Infinity; a density bound that overflows is now refused
+_DENSITY = "dist: the density bound of {} overflows"
+_ALG2_BOUND = ("learner: eta * density bound overflows for eta=1e+308, "
+               "density bound 9007199254740992.0")
+
+
+@pytest.mark.parametrize("dist, learner, error", [
+    ("uniform(0, 5e-324)", "ftl(buckets=8)", _DENSITY.format("Uniform(a=0.0, b=5e-324)")),
+    ("uniform(0, 5e-324)", "alg2(eta=0.05)", _DENSITY.format("Uniform(a=0.0, b=5e-324)")),
+    ("equirev(5e-324)", "alg2(eta=0.05)", _DENSITY.format("EqualRevenue(delta=5e-324)")),
+    ("uniform", "alg1(eta=1.0e+308)", None),            # robustness_columns' 2 * eta
+    ("uniform(0.5, 0.5000000000000001)", "alg2(eta=1.0e+308)", _ALG2_BOUND),
 ], ids=["uniform-cdf", "uniform-survival", "equirev-patch", "alg1-scale", "alg2-bound"])
-def test_cli_run_on_overflowing_numbers_warns_nothing(tmp_path, capsys, dist, learner, code):
+def test_cli_run_on_overflowing_numbers_warns_nothing(tmp_path, capsys, dist, learner, error):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(MINIMAL.replace("dist: uniform", f"dist: {dist}").replace(
         "alg2(eta=0.01)", learner).replace("T: 10000", "T: 50"))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert cli_main(["run", "--config", str(cfg)]) == code
+        assert cli_main(["run", "--config", str(cfg)]) == (1 if error else 0)
     err = capsys.readouterr().err.strip().splitlines()
-    if code:
-        assert err == ["config error: learner: eta * density bound overflows for eta=1e+308, "
-                       "density bound 9007199254740992.0"]
-    else:
-        assert err == []
+    assert err == ([f"config error: {error}"] if error else [])
 
 
 def test_cli_sweep_builds_the_learner_at_every_point_before_any_runs(tmp_path, capsys):

@@ -188,3 +188,24 @@ def test_quantile_array_matches_the_scalar_quantile_bit_for_bit(F, ys):
     # repr tells -0.0 from 0.0
     assert repr(F.quantile_array(y).tolist()) == repr(want)
     assert F.quantile_array(y.reshape(1, -1)).shape == (1, len(y))
+
+
+def test_a_density_bound_that_overflows_is_refused():
+    # formerly accepted, and summary.json then read "min_slack": Infinity
+    for make in (lambda: Uniform(0.0, 5e-324), lambda: EqualRevenue(5e-324),
+                 lambda: PiecewiseLinearCDF((0.0, 5e-324, 1.0), (0.0, 0.5, 1.0))):
+        with pytest.raises(ValueError, match=r"^the density bound of .* overflows$"):
+            make()
+
+
+@pytest.mark.parametrize("a", [0.0, 1e-310, 2**-1022])
+def test_the_narrowest_uniform_support_evaluates_without_overflow(a):
+    # b - a = 2**-1023: the smallest power-of-two width with a finite
+    # density bound; cdf_array and survival_integral_array then overflow in
+    # no branch, so they need no errstate
+    F = Uniform(a, a + 2**-1023)
+    assert math.isfinite(F.density_bound)
+    x = np.array([0.0, a, F.b, 0.5, 1.0, 5e-324, np.nextafter(F.b, 2.0)])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        F.cdf_array(x)
+        F.survival_integral_array(x)

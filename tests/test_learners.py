@@ -125,11 +125,11 @@ def test_ftl_reproduces_reserve_manipulation_phases():
         lrn.observe(2 if t <= T // 2 else 1)
         if t == T // 2:
             # high-reserve phase: buckets above 1/4 bid 1/4, the rest bid 0
-            for b, j in enumerate(lrn._choice):
+            for b, j in enumerate(lrn.strategy().bids_per_bucket):
                 mid = (b + 0.5) / 64
                 assert j == (2 if mid > 0.25 else 0)
     # after the reserve drop, values >= 1/2 still bid 1/4
-    for b, j in enumerate(lrn._choice):
+    for b, j in enumerate(lrn.strategy().bids_per_bucket):
         mid = (b + 0.5) / 64
         if mid >= 0.5:
             assert j == 2
