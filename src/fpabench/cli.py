@@ -60,6 +60,8 @@ def _trace_csv(trace) -> str:
 
     Columns hold ints, Python floats and (``win``) bools; ``repr`` writes
     ints as ``str`` does and floats as their shortest round-trip decimal.
+    A column that holds one object in every row (a fixed eta, an unchecked
+    run's NaN slack) is formatted once; equal floats held apart are not.
     """
     T = len(trace.h_index)
     sampled = trace.mode == "sampled"
@@ -68,9 +70,11 @@ def _trace_csv(trace) -> str:
             trace.potential, trace.slack]
     if sampled:
         cols += [trace.value, trace.bid_index, trace.win, trace.payment]
+    once = [[repr(c[0])] * T if T and all(x is c[0] for x in c) else None for c in cols]
     blocks = [",".join(_SAMPLED_COLUMNS if sampled else _COLUMNS)]
     for a in range(0, T, _CSV_BLOCK):
-        cells = [map(repr, col[a:a + _CSV_BLOCK]) for col in cols]
+        cells = [map(repr, col[a:a + _CSV_BLOCK]) if text is None else text[a:a + _CSV_BLOCK]
+                 for col, text in zip(cols, once)]
         if sampled:
             cells[-2] = map(("0", "1").__getitem__, trace.win[a:a + _CSV_BLOCK])
         blocks.append("\n".join(map(",".join, zip(*cells))))
@@ -127,6 +131,8 @@ def _run_replication(cfg: ExperimentConfig, rep: int):
 
 
 def _execute(cfg: ExperimentConfig, out_dir: Path | None, threads: int | None):
+    if out_dir is not None:  # before any replication runs
+        out_dir.mkdir(parents=True, exist_ok=True)
     reps = cfg.replications
     workers = _worker_count(reps, threads)
     results = [None] * reps
@@ -142,7 +148,6 @@ def _execute(cfg: ExperimentConfig, out_dir: Path | None, threads: int | None):
 
     summaries = [s for _, s in results]
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         for rep, (csv_text, _) in enumerate(results):
             (out_dir / f"trace_rep{rep}.csv").write_text(csv_text)
         (out_dir / "summary.json").write_text(
@@ -225,6 +230,8 @@ def _cmd_sweep(args) -> int:
         if errors := _dry_build(base.grid, base.dist, T, base.learner_spec, base.adversary_spec):
             print("\n".join(f"config error at T={T}: {e}" for e in errors), file=sys.stderr)
             return 1
+    if args.out:  # before any point runs
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     lines = ["T,regret,revenue_excess,ic_gap,min_slack,wall_time_s"]
     print(lines[0])
     for T in points:
@@ -243,9 +250,7 @@ def _cmd_sweep(args) -> int:
         lines.append(",".join(map(repr, row)))  # ints and Python floats, as in _trace_csv
         print(lines[-1])
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+        (Path(args.out) / "sweep.csv").write_text("\n".join(lines) + "\n")
     return 0
 
 
@@ -276,7 +281,7 @@ def main(argv=None) -> int:
     try:
         args.threads = _thread_cap()
         return args.fn(args)
-    except ValueError as exc:  # a bad thread cap, or a run's error naming its replication
+    except (ValueError, OSError) as exc:  # bad thread cap, config file or --out; run errors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,9 +19,10 @@ import numpy as np
 
 from .distributions import ValueDistribution
 from .grids import Grid, check_integer
-from .metrics import ROBUSTNESS_STATE, benchmark_columns, robustness_columns
+from .metrics import (ROBUSTNESS_STATE, benchmark_columns, check_bid_distribution,
+                      robustness_columns)
 from .rng import ADVERSARY, RANKING, VALUES, stream_rng
-from .strategies import Plays
+from .strategies import Plays, ProbabilityStrategy, ThresholdStrategy
 
 UNWINNABLE = -1
 
@@ -53,9 +54,7 @@ class StochasticCompetition(Adversary):
     """iid draws from a fixed distribution over grid indices."""
 
     def __init__(self, d):
-        if not (all(di >= 0 for di in d) and abs(sum(d) - 1.0) <= 1e-9):  # NaN fails
-            raise ValueError("invalid competing-bid distribution")
-        self.d = list(d)
+        self.d = check_bid_distribution(d)
 
     def prepare(self, T, K, rng):
         if len(self.d) != K + 1:
@@ -151,13 +150,15 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
                      check_steps: bool = True, benchmark: str = "per-round") -> Trace:
     """Run the repeated-auction protocol for one buyer.
 
-    The loop only advances the learner: it records each round's h, eta,
-    strategy and (for checked alg1/alg2 learners) state.  One pass after
-    it computes every other column from those records: exact utility and
-    revenue, the potentials and robustness slacks, the benchmark and the
-    regret.  benchmark="per-round" evaluates the prefix best-fixed
-    benchmark at every t (what the CSV trace wants); "final" evaluates it
-    once for the whole horizon and leaves the same totals.
+    The loop only advances the learner: it records each round's h, eta and
+    play, which is the state row (p or v) of an alg1/alg2 learner against an
+    oblivious adversary in exact mode, else the strategy, in ``Plays`` (and
+    the state too for checked alg1/alg2).  One pass after it computes every
+    other column from those records: exact utility and revenue, the
+    potentials and robustness slacks, the benchmark and the regret.
+    benchmark="per-round" evaluates the prefix best-fixed benchmark at every
+    t (what the CSV trace wants); "final" evaluates it once for the whole
+    horizon and leaves the same totals.
     """
     T = _check_horizon(T)
     if mode not in ("exact", "sampled"):
@@ -167,14 +168,16 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
     if learner.grid != grid:
         raise ValueError("every learner must bid on the auction's grid")
     adversary.prepare(T, grid.K, stream_rng(seed, ADVERSARY))
-    if type(adversary).next is Adversary.next:  # oblivious: h_1..h_T are fixed now
+    if oblivious := type(adversary).next is Adversary.next:  # h_1..h_T are fixed now
         learner.foresee(adversary._h[:T])
     sampled = mode == "sampled"
     # mapped up front, appended round by round: an adversary sees past values only
     values = F.quantile_array(stream_rng(seed, VALUES).random(T)).tolist() if sampled else None
 
     kind = getattr(learner, "kind", None)
-    state = ROBUSTNESS_STATE.get(kind) if check_steps else None
+    state = ROBUSTNESS_STATE.get(kind)
+    plays = None if state and oblivious and not sampled else Plays()  # None: rows are the log
+    state = state if check_steps or plays is None else None
     if state:
         states = np.empty((T + 1, grid.K))  # row t: the state after round t
         states[0] = getattr(learner, state)
@@ -184,16 +187,16 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
                win=[] if sampled else None, payment=[] if sampled else None)
     # the adversary reads the recorded columns, which grow round by round
     history = History(past_h=tr.h_index, past_values=tr.value if sampled else [])
-    plays = Plays()
     bids, K = grid.bids, grid.K
 
     for t in range(1, T + 1):
-        strat = learner.strategy()
-        history.current_strategy = strat
+        if plays is not None:
+            strat = learner.strategy()
+            history.current_strategy = strat
+            plays.record(strat)
         h = adversary.next(t, history)
         if not (type(h) is int and 0 <= h <= K):
             h = _grid_index(h, t, K, "adversary returned h=")
-        plays.record(strat)
 
         if sampled:
             val = values[t - 1]
@@ -211,9 +214,14 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
             states[t] = getattr(learner, state)
 
     h = np.array(tr.h_index)
-    util, rev = plays.exact_columns(F, h)
+    if plays is None:  # round t played row t - 1 of states
+        V = states[:T] if kind == "alg2" else ProbabilityStrategy.threshold_rows(
+            grid, learner.F, states[:T])
+        util, rev = ThresholdStrategy.row_columns(grid, F, V, np.arange(T), h)
+    else:
+        util, rev = plays.exact_columns(F, h)
     del plays  # accounted for: free the strategies before the benchmark pass
-    if state:
+    if check_steps and state:
         slack, phi = robustness_columns(grid, F, states, h, tr.eta, kind)
         bad = np.flatnonzero(~(slack >= -1e-8))  # a NaN slack fails too
         if bad.size:

@@ -88,19 +88,22 @@ _CHUNK_CELLS = 2**14  # per FTL pass: 51 rounds at K=4, 64 buckets; 1 at the cap
 
 
 class Learner:
-    """``strategy()`` returns ``_strategy``, which a learner rebuilds only
-    when ``observe`` changes the state it is built from."""
+    """``strategy()`` returns ``_strategy``, one object until ``observe``
+    changes what it is built from; one dropped (set to None) is rebuilt on use."""
 
     kind: str
 
-    def __init__(self, grid: Grid, strategy: Strategy, last_eta: float = math.nan):
+    def __init__(self, grid: Grid, strategy: Strategy | None, last_eta: float = math.nan):
         self.grid = grid
         self.t = 1
         self.last_eta = last_eta
         self._strategy = strategy
 
     def strategy(self) -> Strategy:
-        return self._strategy
+        s = self._strategy
+        if s is None:
+            s = self._strategy = self._build_strategy()
+        return s
 
     def foresee(self, hs) -> None:
         """The h of the rounds to come, in order; ``observe`` still gets each one."""
@@ -124,7 +127,10 @@ class GradientBidder(Learner):
             self._floors, self._poly = [-(1.0 - F.cdf(b)) for b in grid.bids[1:]], None
         else:
             self._floors, self._poly = None, probability_polytope(grid, F)
-        super().__init__(grid, ProbabilityStrategy(grid, F, tuple(self.p)), policy.at(1))
+        super().__init__(grid, None, policy.at(1))
+
+    def _build_strategy(self) -> ProbabilityStrategy:
+        return ProbabilityStrategy(self.grid, self.F, tuple(self.p))
 
     def observe(self, h: int) -> None:
         eta = self.policy.at(self.t)
@@ -141,7 +147,7 @@ class GradientBidder(Learner):
             q = [pj + eta * gj for pj, gj in zip(self.p, g)]
             p = project_oracle(self._poly, q)
         if p != self.p:  # p enters only as 1 - p_j: equal p, +-0 included, gives equal bits
-            self._strategy = ProbabilityStrategy(self.grid, self.F, tuple(p))
+            self._strategy = None
         self.p = p
         self.t += 1
 
@@ -158,15 +164,19 @@ class ThresholdBidder(Learner):
         self.v = [1.0] * grid.K if v1 is None else list(v1)
         check_thresholds(self.v, grid, atol=CLAMP_TOL)
         FixedStep(eta)  # raises unless eta is positive and finite
-        super().__init__(grid, ThresholdStrategy(grid, tuple(self.v)), eta)
+        self._step, self._floors = eta * grid.eps, grid.bids[1:]
+        super().__init__(grid, None, eta)
+
+    def _build_strategy(self) -> ThresholdStrategy:
+        return ThresholdStrategy(self.grid, tuple(self.v))
 
     def observe(self, h: int) -> None:
         # ga_step_thresholds unchecked: v1 was checked, later v are the step's output
         check_bid_index(h, self.grid)
         g = self.eta * (self.v[h - 1] - self.grid.bids[h]) if h else 0.0
-        v = _chain_step(self.v, h, g, self.eta * self.grid.eps, 1.0, self.grid.bids[1:], "v")[0]
+        v = _chain_step(self.v, h, g, self._step, 1.0, self._floors, "v")[0]
         if v != self.v:  # thresholds are positive, so equal means the same bits
-            self.v, self._strategy = v, ThresholdStrategy(self.grid, tuple(v))
+            self.v, self._strategy = v, None
         self.t += 1
 
 
@@ -249,7 +259,9 @@ class LazyRegularizedBidder(Learner):
         self.p = list(self.p1)
         self._gsum = [0.0] * grid.K
         self._poly = probability_polytope(grid, F)
-        super().__init__(grid, ProbabilityStrategy(grid, F, tuple(self.p)), eta)
+        super().__init__(grid, None, eta)
+
+    _build_strategy = GradientBidder._build_strategy
 
     def observe(self, h: int) -> None:
         g = utility_gradient(self.grid, self.F, self.p, h)
@@ -257,7 +269,7 @@ class LazyRegularizedBidder(Learner):
         q = [a + self.eta * s for a, s in zip(self.p1, self._gsum)]
         p = project_oracle(self._poly, q)
         if p != self.p:  # as in GradientBidder.observe
-            self._strategy = ProbabilityStrategy(self.grid, self.F, tuple(p))
+            self._strategy = None
         self.p = p
         self.t += 1
 

@@ -258,9 +258,13 @@ def guarantee_caps(K: int, T: int, fbar: float) -> dict:
     }
 
 
+def check_bid_distribution(d) -> list:
+    """d as a list, or a ValueError unless its weights are >= 0 and sum to 1."""
+    if not (all(di >= 0 for di in d) and abs(sum(d) - 1.0) <= 1e-9):  # NaN fails
+        raise ValueError("invalid competing-bid distribution")
+    return list(d)
+
+
 def strong_concavity_modulus(F: ValueDistribution, d) -> float:
     """d_min / fbar: curvature of expected utility under stochastic competition."""
-    support = [di for di in d if di > 0.0]
-    if not support:
-        raise ValueError("competing-bid distribution has empty support")
-    return min(support) / F.density_bound
+    return min(di for di in check_bid_distribution(d) if di > 0.0) / F.density_bound

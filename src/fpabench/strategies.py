@@ -5,12 +5,12 @@ utility and seller revenue against a known competing bid are computed in
 closed form from the value distribution (no sampling), which is what keeps
 regret and robustness measurements noise-free.
 
-A run records its strategies in a ``Plays`` log and accounts for them
-after the loop: ``exact_columns`` gives each strategy shape one columnar
-kernel.  Threshold and probability strategies go through the probability
-rows of ``utility_rows``/``revenue_rows``; piecewise strategies (bucket and
-misreported) have no other accounting path.  ``ThresholdStrategy`` keeps
-its scalar ``exact_utility``/``exact_revenue`` for single-play callers.
+A run accounts for its plays after the loop, one columnar kernel per shape:
+``ThresholdStrategy.row_columns`` takes threshold rows (probability rows via
+``ProbabilityStrategy.threshold_rows``), an alg1/alg2 run's state rows or
+those ``exact_columns`` stacks from a ``Plays`` log; piecewise strategies
+(bucket, misreported) have only ``exact_columns``.  ``ThresholdStrategy``
+keeps its scalar ``exact_utility``/``exact_revenue`` for single plays.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .grids import Grid
 
 
 class Plays:
-    """The strategy of every round of a run, stored once per run of rounds
-    that played the same object (fresh equal objects get one entry each).
+    """Each round's strategy in a run not logged by its state rows, stored once
+    per run of rounds playing one object (fresh equal objects: one entry each).
 
     A learner plays one strategy class on one grid (and under its own F) all
     run; ``exact_columns`` hands the log to that class's ``exact_columns(F,
@@ -80,11 +80,15 @@ class ThresholdStrategy:
         p = probabilities_from_strategy(self.grid, F, self.thresholds)
         return revenue_for_h(self.grid, p, h)
 
+    @staticmethod
+    def row_columns(grid, F, V, run, h):
+        """(utility, revenue) of the threshold rows V[run[t]] against h[t]."""
+        p = 1.0 - F.cdf_array(V)
+        return (utility_rows(grid, F, p)[run, h], revenue_rows(grid, p)[run, h])
+
     @classmethod
     def exact_columns(cls, F, plays, run, h):
-        grid = plays[0].grid
-        p = 1.0 - F.cdf_array(np.array([s.thresholds for s in plays]))
-        return (utility_rows(grid, F, p)[run, h], revenue_rows(grid, p)[run, h])
+        return cls.row_columns(plays[0].grid, F, np.array([s.thresholds for s in plays]), run, h)
 
 
 @dataclass(frozen=True)
@@ -101,14 +105,17 @@ class ProbabilityStrategy:
 
     edges, bid_index = ThresholdStrategy.edges, ThresholdStrategy.bid_index
 
+    @staticmethod
+    def threshold_rows(grid, G, P):
+        # thresholds_from_probabilities for every row in one pass, bit for bit:
+        # quantile_array is quantile, np.maximum is max (every b_j > 0)
+        return np.maximum(G.quantile_array(1.0 - P), grid.bids[1:])
+
     @classmethod
     def exact_columns(cls, F, plays, run, h):
-        # thresholds_from_probabilities for every play in one pass, bit for bit:
-        # quantile_array is quantile, np.maximum is max (every b_j > 0)
         grid, G = plays[0].grid, plays[0].F
-        V = np.maximum(G.quantile_array(1.0 - np.array([s.p for s in plays])), grid.bids[1:])
-        p = 1.0 - F.cdf_array(V)
-        return (utility_rows(grid, F, p)[run, h], revenue_rows(grid, p)[run, h])
+        V = cls.threshold_rows(grid, G, np.array([s.p for s in plays]))
+        return ThresholdStrategy.row_columns(grid, F, V, run, h)
 
 
 class PiecewiseStrategy:

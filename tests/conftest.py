@@ -1,9 +1,11 @@
-"""Shared helpers: seeded generators, one play's exact columns, and the
-frozen piecewise accounting the column kernel is checked against."""
+"""Shared helpers: seeded generators, one play's exact columns, a count of
+each run's plays, and the frozen piecewise accounting the column kernel is
+checked against."""
 
 import numpy as np
 import pytest
 
+from fpabench import environments, strategies
 from fpabench.rng import TESTING, stream_rng
 from fpabench.strategies import BucketStrategy, Plays
 
@@ -24,6 +26,40 @@ def play_columns(strategy, F):
     for _ in range(n):
         plays.record(strategy)
     return plays.exact_columns(F, np.arange(n))
+
+
+def count_plays(monkeypatch) -> list:
+    """The list every run accounted after this call appends its play count to.
+
+    A ``Plays`` log counts its entries.  A run logged by its state rows counts
+    the runs of distinct consecutive rows: numpy's != treats +-0 as equal, as
+    the learners' state comparison does, so both paths give one count per
+    strategy a learner would build.  ``environments`` binds the strategy
+    classes for the rows path alone, so the spy there sees no ``Plays`` run.
+    """
+    sizes = []
+    columns = Plays.exact_columns
+
+    def spy(self, F, h):
+        sizes.append(len(self.plays))
+        return columns(self, F, h)
+
+    probabilities = []
+
+    class Rows:
+        def threshold_rows(self, grid, G, P):
+            probabilities.append(P)  # alg1 counts its p rows, not their thresholds
+            return strategies.ProbabilityStrategy.threshold_rows(grid, G, P)
+
+        def row_columns(self, grid, F, V, run, h):
+            rows = probabilities.pop() if probabilities else V
+            sizes.append(1 + int((rows[1:] != rows[:-1]).any(axis=1).sum()))
+            return strategies.ThresholdStrategy.row_columns(grid, F, V, run, h)
+
+    monkeypatch.setattr(Plays, "exact_columns", spy)
+    for name in ("ProbabilityStrategy", "ThresholdStrategy"):
+        monkeypatch.setattr(environments, name, Rows())
+    return sizes
 
 
 # Frozen copy of the accounting the piece table replaced: breakpoints rebuilt

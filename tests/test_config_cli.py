@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -21,7 +22,7 @@ from fpabench.environments import (
     run_single_buyer,
 )
 from fpabench.grids import BidGrid, IrregularBidGrid
-from fpabench.learners import GradientBidder, ThresholdBidder
+from fpabench.learners import GradientBidder, HarmonicStep, ThresholdBidder
 from fpabench.strategies import MisreportMap
 from fpabench.verify import SUITES
 
@@ -340,6 +341,82 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert cli_main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_cli_reports_an_unreadable_config_in_one_line(tmp_path, capsys, command, where):
+    path = tmp_path / "missing.yaml" if where == "missing" else tmp_path
+    extra = ["--param", "T=10"] if command == "sweep" else []
+    assert cli_main([command, "--config", str(path)] + extra) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "Traceback" not in captured.err
+    assert err[0].startswith("error: [Errno ") and err[0].endswith(f"{str(path)!r}")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_refuses_an_out_dir_under_a_file_before_any_replication(tmp_path, capsys,
+                                                                   monkeypatch, command):
+    import fpabench.cli as cli
+    runs = []
+    monkeypatch.setattr(cli, "run_single_buyer",
+                        lambda *args, **kwargs: runs.append(1) or run_single_buyer(*args, **kwargs))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL.replace("T: 10000", "T: 50"))
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "x"
+    extra = ["--param", "T=50"] if command == "sweep" else []
+    assert cli_main([command, "--config", str(cfg), "--out", str(out)] + extra) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0] == f"error: [Errno 20] Not a directory: {str(out)!r}"
+    assert runs == []
+
+
+def _csv_by_cell(trace):
+    """``_trace_csv``'s reference: every cell through its own repr, win as 0/1."""
+    T = len(trace.h_index)
+    cols = [range(1, T + 1), trace.h_index, trace.eta, trace.exp_utility,
+            trace.exp_revenue, trace.benchmark_cum, trace.regret_cum,
+            trace.potential, trace.slack]
+    header = "t,h_index,eta_t,exp_utility,exp_revenue,benchmark_cum,regret_cum,potential,slack"
+    if trace.mode == "sampled":
+        cols += [trace.value, trace.bid_index, [int(w) for w in trace.win], trace.payment]
+        header += ",value,bid_index,win,payment"
+    return "\n".join([header] + [",".join(repr(col[t]) for col in cols)
+                                 for t in range(T)]) + "\n"
+
+
+_T_CSV = 150  # more than one of the formatter's row blocks
+_CSV_TRACES = {
+    "alg1_harmonic": lambda: run_single_buyer(
+        BidGrid(4, 0.2), Uniform(), GradientBidder(BidGrid(4, 0.2), Uniform(),
+                                                  HarmonicStep(1.0, 0.2)),
+        StochasticCompetition((0.3, 0.25, 0.2, 0.15, 0.1)), _T_CSV),
+    "alg2_sampled": lambda: run_single_buyer(
+        BidGrid(4, 0.2), Uniform(), ThresholdBidder(BidGrid(4, 0.2), 0.05),
+        DecreasingReserve(50, 4, 0), _T_CSV, mode="sampled", check_steps=False),
+}
+_ODD_COLUMNS = {
+    "as_run": None,
+    "one_float": lambda: [0.1 + 0.2] * _T_CSV,
+    "one_nan": lambda: [math.nan] * _T_CSV,
+    "equal_floats_apart": lambda: [float("0.30000000000000004") for _ in range(_T_CSV)],
+    "last_zero_negative": lambda: [0.0] * (_T_CSV - 1) + [-0.0],
+    "one_negative_zero": lambda: [-0.0] * _T_CSV,
+}
+
+
+@pytest.mark.parametrize("odd", list(_ODD_COLUMNS))
+@pytest.mark.parametrize("run", list(_CSV_TRACES))
+def test_trace_csv_equals_the_cell_by_cell_reference(run, odd):
+    from fpabench.cli import _trace_csv
+    trace = _CSV_TRACES[run]()
+    if _ODD_COLUMNS[odd]:
+        trace.eta, trace.potential = _ODD_COLUMNS[odd](), _ODD_COLUMNS[odd]()
+        if trace.mode == "sampled":
+            trace.win, trace.payment = [True] * _T_CSV, _ODD_COLUMNS[odd]()
+    assert _trace_csv(trace) == _csv_by_cell(trace)
 
 
 def test_cli_verify_mirror_suite(capsys):

@@ -14,7 +14,8 @@ import math
 
 import pytest
 
-from fpabench import cli, metrics, strategies
+from conftest import count_plays
+from fpabench import cli, metrics
 from fpabench.cli import main as cli_main
 from fpabench.distributions import EqualRevenue, Uniform
 from fpabench.environments import run_multi_buyer
@@ -137,9 +138,10 @@ def test_golden_digests_do_not_depend_on_the_builtin_sum(tmp_path, monkeypatch, 
     assert run_digests(tmp_path, name, seed) == DIGESTS[name, seed]
 
 
-# (config, seed) -> Plays entries of the run: a gradient or lazy learner
-# rebuilds its strategy only when p changes, so a round that leaves p as it
-# was repeats the previous entry (alg1 moves p in nearly every round)
+# (config, seed) -> plays of the run (``count_plays``): a gradient or lazy
+# learner rebuilds its strategy only when p changes, so a round that leaves p
+# as it was repeats the previous play (alg1 moves p in nearly every round).
+# lazyftrl counts Plays entries; oblivious alg1 is logged by its state rows
 PLAYS_ENTRIES = {
     ("oracle_path_lazyftrl", 4242): 384,
     ("oracle_path_lazyftrl", 7): 356,
@@ -152,14 +154,7 @@ PLAYS_ENTRIES = {
 @pytest.mark.parametrize("name,seed", list(PLAYS_ENTRIES),
                          ids=[f"{n}-{s}" for n, s in PLAYS_ENTRIES])
 def test_golden_plays_entry_counts(tmp_path, monkeypatch, name, seed):
-    sizes = []
-    columns = strategies.Plays.exact_columns
-
-    def spy(self, F, h):
-        sizes.append(len(self.plays))
-        return columns(self, F, h)
-
-    monkeypatch.setattr(strategies.Plays, "exact_columns", spy)
+    sizes = count_plays(monkeypatch)
     cfg = tmp_path / f"{name}.yaml"
     cfg.write_text(CONFIGS[name])
     assert cli_main(["run", "--config", str(cfg), "--seed", str(seed)]) == 0

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import make_rng, play_columns
+from conftest import count_plays, make_rng, play_columns
 from fpabench import strategies
 from fpabench.auction import check_thresholds
 from fpabench.distributions import EqualRevenue, Uniform
@@ -320,9 +320,9 @@ def test_misreport_reuses_its_strategy_while_the_inner_one_is_unchanged():
         assert (lrn.strategy() is s) == (lrn.inner.strategy() is inner)
 
 
-# Plays entries of each run as counted when Plays.record compared strategies
-# by value; by identity the counts must stay, since a learner returns one
-# object per state
+# plays of each run (``count_plays``) as counted when Plays.record compared
+# strategies by value; by identity the counts must stay, since a learner
+# returns one object per state.  The alg2 runs are logged by their state rows
 PLAYS_RUNS = {
     "alg2_stochastic": (lambda: ThresholdBidder(_G4, 0.05),
                         lambda: StochasticCompetition((0.3, 0.25, 0.2, 0.15, 0.1)),
@@ -339,14 +339,7 @@ PLAYS_RUNS = {
 @pytest.mark.parametrize("name", list(PLAYS_RUNS))
 def test_plays_entry_counts_are_unchanged_by_the_identity_dedupe(name, monkeypatch):
     make, adversary, F, want = PLAYS_RUNS[name]
-    sizes = []
-    columns = strategies.Plays.exact_columns
-
-    def spy(self, F, h):
-        sizes.append(len(self.plays))
-        return columns(self, F, h)
-
-    monkeypatch.setattr(strategies.Plays, "exact_columns", spy)
+    sizes = count_plays(monkeypatch)
     run_single_buyer(_G4, F, make(), adversary(), 600, seed=4, check_steps=False,
                      benchmark="final")
     assert sizes == [want]

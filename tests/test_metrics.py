@@ -245,3 +245,12 @@ def test_strong_concavity_modulus_values():
         0.05 / 8.0)
     with pytest.raises(ValueError):
         strong_concavity_modulus(Uniform(), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("d", [(-1.0, 0.5), (math.nan, 0.5, 0.5), (0.5, 0.4), (0.6, 0.6)],
+                         ids=["negative", "nan", "short", "long"])
+def test_strong_concavity_modulus_refuses_what_stochastic_competition_refuses(d):
+    for build in (lambda: strong_concavity_modulus(Uniform(), d),
+                  lambda: StochasticCompetition(d)):
+        with pytest.raises(ValueError, match="^invalid competing-bid distribution$"):
+            build()
