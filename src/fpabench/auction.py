@@ -36,30 +36,31 @@ CLAMP_TOL = 1e-12  # largest correction clamp_* accepts as float drift
 
 
 def check_probabilities(p, grid: Grid, F: ValueDistribution, atol: float = DEFAULT_ATOL):
-    """Raise if p is not a valid bidding-probability vector (NaN fails)."""
+    """Raise if p is not a valid bidding-probability vector (NaN fails), that
+    is, if clamp_probabilities would move a coordinate by more than atol."""
     if len(p) != grid.K:
         raise ValueError(f"expected {grid.K} components, got {len(p)}")
     prev = 1.0
     for j, pj in enumerate(p, start=1):
-        if not -atol <= pj <= prev + atol:
+        if not (-pj <= atol and pj - prev <= atol):
             raise ValueError(f"p_{j}={pj} breaks monotonicity 1 >= p_1 >= ... >= 0")
         cap = 1.0 - F.cdf(grid.bids[j])
-        if not pj <= cap + atol:
+        if not pj - cap <= atol:
             raise ValueError(f"p_{j}={pj} exceeds no-overbid cap {cap}")
-        prev = pj
+        prev = min(max(pj, 0.0), prev, cap)
 
 
 def check_thresholds(v, grid: Grid, atol: float = DEFAULT_ATOL):
-    """Raise if v is not a valid threshold vector (NaN fails)."""
+    """Threshold twin of check_probabilities, against clamp_thresholds."""
     if len(v) != grid.K:
         raise ValueError(f"expected {grid.K} components, got {len(v)}")
     prev = 0.0
     for i, vi in enumerate(v, start=1):
-        if not prev - atol <= vi <= 1.0 + atol:
+        if not (prev - vi <= atol and vi - 1.0 <= atol):
             raise ValueError(f"v_{i}={vi} breaks monotonicity 0 <= v_1 <= ... <= 1")
-        if not vi >= grid.bids[i] - atol:
+        if not grid.bids[i] - vi <= atol:
             raise ValueError(f"v_{i}={vi} below bid {grid.bids[i]} (overbidding)")
-        prev = vi
+        prev = max(min(vi, 1.0), prev, grid.bids[i])
 
 
 def check_bid_index(i: int, grid: Grid) -> None:
@@ -203,13 +204,19 @@ def revenue_rows(grid: Grid, p):
 
 
 def utility_rows(grid: Grid, F: ValueDistribution, p):
-    """utility_for_h(grid, F, p[r], i) for every row r of p and every i in 0..K.
+    """utility_for_h(grid, F, p[r], i) for every row r of p and every i in 0..K."""
+    return utility_revenue_rows(grid, F, p)[0]
+
+
+def utility_revenue_rows(grid: Grid, F: ValueDistribution, p):
+    """(utility_rows(grid, F, p), revenue_rows(grid, p)) from one revenue table.
 
     utility_for_h accumulates the negated revenue sum, which rounds to the
     exact negation of revenue_for_h's, so G(1 - p_i) minus the revenue is
     the scalar result.
     """
-    return F.quantile_tail_integral_array(1.0 - _with_p0(p)) - revenue_rows(grid, p)
+    rev = revenue_rows(grid, p)
+    return F.quantile_tail_integral_array(1.0 - _with_p0(p)) - rev, rev
 
 
 # ---------------------------------------------------------------------------

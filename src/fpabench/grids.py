@@ -34,7 +34,7 @@ class BidGrid:
             raise ValueError("grid needs at least one positive bid (K >= 1)")
         if not (self.eps > 0.0):
             raise ValueError("grid spacing eps must be positive")
-        if self.K * self.eps > 1.0 + _ATOL:
+        if self.K * self.eps > 1.0:  # b_K above 1 puts v_K's floor over its ceiling
             raise ValueError("largest bid K*eps must not exceed 1")
         if self.K > 2**24:  # refused before the bids are built
             raise ValueError(f"K={self.K} is more than 2**24 bids")
@@ -56,7 +56,7 @@ class IrregularBidGrid:
             raise ValueError("lowest bid must be 0")
         if not all(b2 > b1 for b1, b2 in zip(bids, bids[1:])):
             raise ValueError("bids must be strictly increasing")
-        if not bids[-1] <= 1.0 + _ATOL:
+        if not bids[-1] <= 1.0:
             raise ValueError("largest bid must not exceed 1")
 
     @property

@@ -19,6 +19,8 @@ from .auction import (
     check_bid_index,
     check_probabilities,
     check_thresholds,
+    clamp_probabilities,
+    clamp_thresholds,
     threshold_margin,
     utility_gradient,
 )
@@ -121,8 +123,9 @@ class GradientBidder(Learner):
     def __init__(self, grid: Grid, F: ValueDistribution, policy, p1=None):
         self.F = F
         self.policy = policy
-        self.p = [0.0] * grid.K if p1 is None else list(p1)
-        check_probabilities(self.p, grid, F, atol=CLAMP_TOL)
+        p = [0.0] * grid.K if p1 is None else p1
+        check_probabilities(p, grid, F, atol=CLAMP_TOL)
+        self.p = clamp_probabilities(p, grid, F)  # the steps take no drift
         if isinstance(grid, BidGrid):  # the chain step's floors, -(1 - F(b_j))
             self._floors, self._poly = [-(1.0 - F.cdf(b)) for b in grid.bids[1:]], None
         else:
@@ -136,12 +139,10 @@ class GradientBidder(Learner):
         eta = self.policy.at(self.t)
         self.last_eta = eta
         if self._poly is None:
-            # ga_step_probabilities minus its check of p: p1 was checked, later p
-            # are the step's output
+            # ga_step_probabilities unchecked: p1 was snapped, later p are the step's output
             step = _step_size(self.grid, h, eta)
             g = eta * threshold_margin(self.F, self.p[h - 1], self.grid.bids[h]) if h else 0.0
-            out = _chain_step([-pj for pj in self.p], h, g, step, -0.0, self._floors, "-p")[0]
-            p = [-t for t in out]
+            p = [-t for t in _chain_step([-t for t in self.p], h, g, step, -0.0, self._floors)[0]]
         else:
             g = utility_gradient(self.grid, self.F, self.p, h)
             q = [pj + eta * gj for pj, gj in zip(self.p, g)]
@@ -161,8 +162,9 @@ class ThresholdBidder(Learner):
         if not isinstance(grid, BidGrid):
             raise TypeError("threshold learner requires a uniform bid grid")
         self.eta = eta
-        self.v = [1.0] * grid.K if v1 is None else list(v1)
-        check_thresholds(self.v, grid, atol=CLAMP_TOL)
+        v = [1.0] * grid.K if v1 is None else v1
+        check_thresholds(v, grid, atol=CLAMP_TOL)
+        self.v = clamp_thresholds(v, grid)  # the steps take no drift
         FixedStep(eta)  # raises unless eta is positive and finite
         self._step, self._floors = eta * grid.eps, grid.bids[1:]
         super().__init__(grid, None, eta)
@@ -171,10 +173,10 @@ class ThresholdBidder(Learner):
         return ThresholdStrategy(self.grid, tuple(self.v))
 
     def observe(self, h: int) -> None:
-        # ga_step_thresholds unchecked: v1 was checked, later v are the step's output
+        # ga_step_thresholds unchecked: v1 was snapped, later v are the step's output
         check_bid_index(h, self.grid)
         g = self.eta * (self.v[h - 1] - self.grid.bids[h]) if h else 0.0
-        v = _chain_step(self.v, h, g, self._step, 1.0, self._floors, "v")[0]
+        v = _chain_step(self.v, h, g, self._step, 1.0, self._floors)[0]
         if v != self.v:  # thresholds are positive, so equal means the same bits
             self.v, self._strategy = v, None
         self.t += 1

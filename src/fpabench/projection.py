@@ -4,8 +4,9 @@ The two learners update by a gradient step followed by a Euclidean
 projection onto their polytope (bidding probabilities or thresholds).
 Both are one O(K) closed form on a non-decreasing chain, ``_chain_step``:
 a pooled block [m, i] around the competing bid, a translated stretch
-(i, ell) and a saturated tail, each coordinate built and clamped in one pass.
-The threshold step runs it on v; the probability step on -p, negated.
+(i, ell) and a saturated tail, exact from any point on the polytope; drift
+is snapped once, where a point enters.  The threshold step runs it on v;
+the probability step on -p, negated.
 
 ``project_oracle`` is an independent exact solver for the generic chain
 polytope (monotone vector with per-coordinate box bounds), used as ground
@@ -25,10 +26,11 @@ from typing import NamedTuple
 
 from .auction import (
     CLAMP_TOL,
-    _check_drift,
     check_bid_index,
     check_probabilities,
     check_thresholds,
+    clamp_probabilities,
+    clamp_thresholds,
     threshold_margin,
 )
 from .distributions import ValueDistribution
@@ -56,13 +58,13 @@ def _step_size(grid: Grid, i: int, eta: float) -> float:
     return eta * grid.eps
 
 
-def _chain_step(q, i: int, g: float, step: float, ceil: float, lo, name: str):
+def _chain_step(q, i: int, g: float, step: float, ceil: float, lo):
     """Closed-form projected step on a non-decreasing chain capped by ceil.
 
     Coordinate i takes the gain g >= 0 and every coordinate above i moves
-    up by step; coordinate k stays at or above lo[k - 1].  One pass builds
-    each coordinate from its region and clamps it, max(min(o, ceil), prev,
-    lo_k); a larger correction than float drift raises, naming ``name``_k.
+    up by step; coordinate k stays at or above lo[k - 1].  From q on the
+    polytope, each coordinate taken from its region is on it too, but for
+    rounding of the pooled mean, which is bounded by its chain neighbours.
     Returns the point, m, ell and the pooled value x (m = 0, x = nan when
     i = 0: every coordinate moves up).  The argument order of min and max,
     spelled out as comparisons, fixes the sign of zeros that the
@@ -75,41 +77,27 @@ def _chain_step(q, i: int, g: float, step: float, ceil: float, lo, name: str):
         if q[j - 1] >= top:
             ell = j
             break
-    m, x = 0, math.nan
-    if i:
-        # scan the pooled-block start downward; both conditions are monotone,
-        # so the first failure ends the scan
-        floor = lo[i - 1]
-        low, gain = floor - _SLACK, g + _SLACK
-        m, n, total = i, 1, q[i - 1]  # n coordinates [m, i] summing to total
-        for j in range(i - 1, 0, -1):
-            qj = q[j - 1]
-            cand = total + qj
-            if qj < low or cand - (n + 1) * qj > gain:
-                break
-            m, n, total = j, n + 1, cand
-        x = max(min(ceil, (total - g) / n), floor)
-
-    out = []
-    prev = lo[0]  # the clamps started lower, at 0 and -1; lo[0] gives the same
-    for k in range(K):
-        f = lo[k]
-        if not i:
-            o = min(ceil, q[k] + step)
-        elif k < m - 1:
-            o = q[k]
-        elif k < i:
-            o = x
-        elif k < ell - 1:
-            o = q[k] + step
-        else:
-            o = ceil
-        c = ceil if ceil < o else o
-        c = prev if prev > c else c
-        prev = f if f > c else c
-        if prev != o:  # NaN too
-            _check_drift(name, k + 1, o, prev)
-        out.append(prev)
+    if not i:
+        return [min(ceil, t + step) for t in q], 0, ell, math.nan
+    # scan the pooled-block start downward; both conditions are monotone,
+    # so the first failure ends the scan
+    floor = lo[i - 1]
+    low, gain = floor - _SLACK, g + _SLACK
+    m, n, total = i, 1, q[i - 1]  # n coordinates [m, i] summing to total
+    for j in range(i - 1, 0, -1):
+        qj = q[j - 1]
+        cand = total + qj
+        if qj < low or cand - (n + 1) * qj > gain:
+            break
+        m, n, total = j, n + 1, cand
+    x = max(min(ceil, (total - g) / n), floor)
+    if i < ell - 1 and q[i] + step < x:  # at most the translated coordinate above
+        x = q[i] + step
+    if m > 1 and q[m - 2] > x:  # at least the unchanged coordinate below
+        x = q[m - 2]
+    out = q[:m - 1]
+    for k in range(m - 1, K):
+        out.append(x if k < i else q[k] + step if k < ell - 1 else ceil)
     return out, m, ell, x
 
 
@@ -117,14 +105,16 @@ def ga_step_probabilities(grid: Grid, F: ValueDistribution, p, i: int, eta: floa
     """One agile gradient-ascent round for the bidding-probability learner.
 
     Returns the projection of p + eta * grad onto the probability polytope,
-    together with diagnostics.  The competing bid is b_i.  Runs the chain
-    step on -p: non-decreasing, floors -(1 - F(b_j)), ceiling -0.0.
+    together with diagnostics.  The competing bid is b_i.  Snaps p's float
+    drift, then runs the chain step on -p: non-decreasing, floors
+    -(1 - F(b_j)), ceiling -0.0.
     """
     step = _step_size(grid, i, eta)
     check_probabilities(p, grid, F, atol=CLAMP_TOL)
+    p = clamp_probabilities(p, grid, F)
     g = eta * threshold_margin(F, p[i - 1], grid.bids[i]) if i else 0.0
     lo = [-(1.0 - F.cdf(b)) for b in grid.bids[1:]]
-    out, m, ell, x = _chain_step([-pj for pj in p], i, g, step, -0.0, lo, "-p")
+    out, m, ell, x = _chain_step([-pj for pj in p], i, g, step, -0.0, lo)
     return [-t for t in out], ProjectionDiagnostics(m, ell, -x, i - m + 1 if i else 0)
 
 
@@ -136,8 +126,9 @@ def ga_step_thresholds(grid: Grid, v, i: int, eta: float):
     """
     step = _step_size(grid, i, eta)
     check_thresholds(v, grid, atol=CLAMP_TOL)
+    v = clamp_thresholds(v, grid)
     g = eta * (v[i - 1] - grid.bids[i]) if i else 0.0
-    out, m, ell, x = _chain_step(v, i, g, step, 1.0, grid.bids[1:], "v")
+    out, m, ell, x = _chain_step(v, i, g, step, 1.0, grid.bids[1:])
     return out, ProjectionDiagnostics(m, ell, x, i - m + 1 if i else 0)
 
 

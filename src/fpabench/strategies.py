@@ -24,10 +24,9 @@ import numpy as np
 from .auction import (
     probabilities_from_strategy,
     revenue_for_h,
-    revenue_rows,
     thresholds_from_probabilities,
     utility_for_h,
-    utility_rows,
+    utility_revenue_rows,
 )
 from .distributions import ValueDistribution
 from .grids import Grid
@@ -83,8 +82,8 @@ class ThresholdStrategy:
     @staticmethod
     def row_columns(grid, F, V, run, h):
         """(utility, revenue) of the threshold rows V[run[t]] against h[t]."""
-        p = 1.0 - F.cdf_array(V)
-        return (utility_rows(grid, F, p)[run, h], revenue_rows(grid, p)[run, h])
+        util, rev = utility_revenue_rows(grid, F, 1.0 - F.cdf_array(V))
+        return util[run, h], rev[run, h]
 
     @classmethod
     def exact_columns(cls, F, plays, run, h):

@@ -1,11 +1,13 @@
-"""The chain step with the clamp folded into its output pass, against the
-kernel-plus-clamp pair it replaced.
+"""The chain step against the kernel-plus-clamp pair it replaced.
 
 ``_former_chain_step`` and ``_former_clamp_*`` are frozen copies of the
-closed-form kernel and of the two clamps as they ran before the fold: the
-kernel built the point, and a second pass snapped its float drift.  The
-public steps and ``ThresholdBidder`` must give their results bit for bit,
-signs of zeros included, and the same diagnostics.
+closed-form kernel and of the two clamps as they ran before the step took
+over their work: the kernel built the point, and a second pass snapped its
+float drift.  From a point on the polytope, the public steps and
+``ThresholdBidder`` must give their results bit for bit, signs of zeros
+included, and the same diagnostics.  A point off the polytope by float
+drift is snapped once, where it enters; the steps from it must equal the
+former pair's from the snapped point.
 """
 
 import math
@@ -17,9 +19,8 @@ from hypothesis import strategies as st
 from fpabench.auction import CLAMP_TOL, threshold_margin
 from fpabench.distributions import EqualRevenue, PiecewiseLinearCDF, Uniform
 from fpabench.grids import BidGrid
-from fpabench.learners import ThresholdBidder
+from fpabench.learners import FixedStep, GradientBidder, ThresholdBidder
 from fpabench.projection import (
-    _chain_step,
     ga_step_probabilities,
     ga_step_thresholds,
     probability_polytope,
@@ -115,7 +116,7 @@ _DISTRIBUTIONS = st.one_of(
 # "-0" is "end" with p_j = -0.0, which the steps must carry through unchanged.
 # "over", "past" and "bump" leave the polytope by a quarter of the clamp
 # tolerance (past the cap, past the other end, past the previous coordinate),
-# which the steps accept and the output pass must snap back as the clamps did.
+# which the steps and the learners accept and snap back where they enter.
 _POSITION = st.one_of(st.sampled_from(["cap", "end", "-0", "over", "past", "bump"]),
                       st.floats(0.0, 1.0))
 _DRIFT = 0.25 * CLAMP_TOL
@@ -153,39 +154,46 @@ def test_folded_steps_match_the_former_pair_bit_for_bit(K, reach, F, eta, data):
     pos = data.draw(st.lists(_POSITION, min_size=K, max_size=K), label="pos")
     hs = data.draw(st.lists(st.integers(0, K), min_size=1, max_size=6), label="hs")
     p, v = _states(grid, F, pos)
+    # drift is snapped once, where the point enters
+    p_at, v_at = _former_clamp_probabilities(p, grid, F), _former_clamp_thresholds(v, grid)
+    assert _same(GradientBidder(grid, F, FixedStep(eta), p1=p).p, p_at)
     lrn = ThresholdBidder(grid, eta, v1=v)
+    assert _same(lrn.v, v_at)
     before = lrn.strategy()
     # a short trajectory, so the steps also start from their own outputs
     for i in hs:
         got, diag = ga_step_probabilities(grid, F, p, i, eta)
-        want, ref = _former_probability_step(grid, F, p, i, eta)
+        want, ref = _former_probability_step(grid, F, p_at, i, eta)
         assert _same(got, want) and _same(diag, ref), (p, i)
-        p = got
+        p = p_at = got
 
         got, diag = ga_step_thresholds(grid, v, i, eta)
-        want, ref = _former_threshold_step(grid, v, i, eta)
+        want, ref = _former_threshold_step(grid, v_at, i, eta)
         assert _same(got, want) and _same(diag, ref), (v, i)
         lrn.observe(i)
         assert _same(lrn.v, want), (v, i)
         # the strategy is rebuilt exactly when the thresholds change
-        assert (lrn.strategy() is before) == (want == v)
+        assert (lrn.strategy() is before) == (want == v_at)
         assert lrn.strategy().thresholds == tuple(want)
-        v, before = want, lrn.strategy()
+        v = v_at = want
+        before = lrn.strategy()
 
 
-def test_folded_clamp_raises_on_more_than_float_drift():
+def test_learners_snap_float_drift_at_the_start_and_refuse_more():
     grid = BidGrid(2, 0.25)
-    lrn = ThresholdBidder(grid, 0.01)
-    lrn.v = [0.25 - 1e-9, 1.0]  # pushed below its bid by more than CLAMP_TOL
-    with pytest.raises(AssertionError, match=r"clamp moved v_1 by 1e-09"):
-        lrn.observe(2)
-    lrn.v = [0.25 - 1e-13, 1.0]  # float drift: snapped back silently
+    # pushed below its bid by more than CLAMP_TOL: refused where it enters
+    with pytest.raises(ValueError, match=r"v_1=0\.249999999 below bid 0\.25"):
+        ThresholdBidder(grid, 0.01, v1=[0.25 - 1e-9, 1.0])
+    # float drift: snapped back silently, once, before the first step
+    lrn = ThresholdBidder(grid, 0.01, v1=[0.25 - 1e-13, 1.0])
+    assert lrn.v == [0.25, 1.0]
     lrn.observe(2)
-    assert lrn.v[0] == 0.25
+    assert lrn.v == ga_step_thresholds(grid, [0.25, 1.0], 2, 0.01)[0]
     # a NaN coordinate is never float drift
-    with pytest.raises(AssertionError, match="v_2"):
-        _chain_step([0.5, math.nan], 1, 0.0, 0.01, 1.0, grid.bids[1:], "v")
-    # the probability step runs in negated space and names -p
-    lo = [-(1.0 - Uniform().cdf(b)) for b in grid.bids[1:]]
-    with pytest.raises(AssertionError, match=r"clamp moved -p_2 by 0\.1"):
-        _chain_step([-0.4, -0.5], 0, 0.0, 0.01, -0.0, lo, "-p")
+    with pytest.raises(ValueError, match="v_2=nan"):
+        ThresholdBidder(grid, 0.01, v1=[0.5, math.nan])
+    # the probability learner's start is snapped and refused the same way
+    lrn = GradientBidder(grid, Uniform(), FixedStep(0.01), p1=[0.75 + 1e-13, -1e-13])
+    assert _same(lrn.p, [0.75, 0.0])
+    with pytest.raises(ValueError, match=r"p_2=0\.5 breaks monotonicity"):
+        GradientBidder(grid, Uniform(), FixedStep(0.01), p1=[0.4, 0.5])

@@ -76,3 +76,19 @@ def test_irregular_grid_requires_strict_increase_from_zero():
         IrregularBidGrid((0.0, 0.3, 0.3))
     with pytest.raises(ValueError):
         IrregularBidGrid((0.0, 0.5, 1.5))
+
+
+def test_a_top_bid_above_one_is_refused():
+    # b_4 = 1.0000000000008 would put v_4's floor over its ceiling of 1:
+    # an empty threshold polytope, which the threshold learner played anyway
+    with pytest.raises(ValueError, match="largest bid K\\*eps must not exceed 1"):
+        BidGrid(4, 0.2500000000002)
+    with pytest.raises(ValueError, match="largest bid must not exceed 1"):
+        IrregularBidGrid((0.0, 0.5, 1.0000000000008))
+    assert IrregularBidGrid((0.0, 0.5, 1.0)).bids[-1] == 1.0
+    # no spacing in use is refused: 1/K for every K that reaches 1 ...
+    for K in (*range(1, 1025), 10**5):
+        assert BidGrid(K, 1.0 / K).bids[-1] <= 1.0
+    # ... and K = 1/eps for the spacings the configs and tests name
+    for eps in (0.1, 0.05, 0.02, 0.01, 0.005, 0.001, 0.125, 0.2, 0.25):
+        assert BidGrid(round(1.0 / eps), eps).bids[-1] == 1.0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import make_rng
 from fpabench import projection
 from fpabench.auction import (
+    CLAMP_TOL,
     check_probabilities,
     check_thresholds,
     clamp_probabilities,
@@ -20,6 +21,7 @@ from fpabench.learners import (
     FixedStep,
     GradientBidder,
     LazyRegularizedBidder,
+    ThresholdBidder,
     default_eta_known_f,
 )
 from fpabench.projection import (
@@ -723,3 +725,24 @@ def test_steps_check_their_input_at_the_clamp_tolerance():
         ga_step_probabilities(GRID2, Uniform(), [0.7500000005, 0.2], 2, 0.01)
     with pytest.raises(ValueError, match="v_1"):
         ga_step_thresholds(GRID2, [0.2499999995, 0.6], 2, 0.01)
+
+
+def test_drift_does_not_pile_up_along_the_chain():
+    # each coordinate is within CLAMP_TOL of the one before, but v_3 is
+    # 1.8e-12 below v_1, the value the snap gives it: the point is refused
+    # where it enters, with one ValueError naming v_3, never taken in and
+    # failed inside the step
+    g = BidGrid(3, 0.1)
+    v = [0.5, 0.5 - 0.9e-12, 0.5 - 1.8e-12]
+    p = [0.5, 0.5 + 0.9e-12, 0.5 + 1.8e-12]
+    for call in (lambda: check_thresholds(v, g, atol=CLAMP_TOL),
+                 lambda: ga_step_thresholds(g, v, 0, 0.01),
+                 lambda: ThresholdBidder(g, 0.01, v1=v)):
+        with pytest.raises(ValueError, match=r"^v_3=0\.4999999999982 breaks monotonicity"):
+            call()
+    for call in (lambda: check_probabilities(p, g, Uniform(), atol=CLAMP_TOL),
+                 lambda: ga_step_probabilities(g, Uniform(), p, 0, 0.01),
+                 lambda: GradientBidder(g, Uniform(), FixedStep(0.01), p1=p)):
+        with pytest.raises(ValueError, match=r"^p_3=0\.5000000000018 breaks monotonicity"):
+            call()
+
