@@ -65,7 +65,6 @@ from .strategies import (
     BucketStrategy,
     ComposedStrategy,
     MisreportMap,
-    ProbabilityStrategy,
     Strategy,
     ThresholdStrategy,
 )

@@ -119,6 +119,11 @@ def thresholds_from_probabilities(grid: Grid, F: ValueDistribution, p):
     return [max(F.quantile(1.0 - pj), grid.bids[j]) for j, pj in enumerate(p, start=1)]
 
 
+def threshold_rows(grid: Grid, F: ValueDistribution, P):
+    """thresholds_from_probabilities for every row of P (np.maximum is max: b_j > 0)."""
+    return np.maximum(F.quantile_array(1.0 - P), grid.bids[1:])
+
+
 def bid_for_value(v, value: float) -> int:
     """Bid index for a value under threshold vector v: i s.t. value in (v_i, v_{i+1}]."""
     return bisect.bisect_left(v, value)

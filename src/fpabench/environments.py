@@ -17,14 +17,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .auction import threshold_rows
 from .distributions import ValueDistribution
 from .grids import Grid, check_integer
-from .metrics import (ROBUSTNESS_STATE, benchmark_columns, check_bid_distribution,
-                      robustness_columns)
+from .metrics import benchmark_columns, check_bid_distribution, robustness_columns
 from .rng import ADVERSARY, RANKING, VALUES, stream_rng
-from .strategies import Plays, ProbabilityStrategy, ThresholdStrategy
+from .strategies import Plays, ThresholdStrategy
 
 UNWINNABLE = -1
+
+# learner kind -> the state attribute that sets its thresholds each round:
+# a threshold vector v, or bidding probabilities p under the learner's own F
+STATE_ROW = {"alg1": "p", "lazyftrl": "p", "alg2": "v", "fixed": "v"}
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +155,13 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
     """Run the repeated-auction protocol for one buyer.
 
     The loop only advances the learner: it records each round's h, eta and
-    play, which is the state row (p or v) of an alg1/alg2 learner against an
-    oblivious adversary in exact mode, else the strategy, in ``Plays`` (and
-    the state too for checked alg1/alg2).  One pass after it computes every
-    other column from those records: exact utility and revenue, the
-    potentials and robustness slacks, the benchmark and the regret.
+    play.  The play of a learner kind in ``STATE_ROW`` is its state row (p
+    or v), in every mode and against every adversary; any other learner's
+    is its strategy, in ``Plays``.  A strategy object is built only to be
+    logged, to place a sampled bid or to show an adaptive adversary.  One
+    pass after the loop computes every other column from those records:
+    exact utility and revenue, the potentials and robustness slacks (alg1
+    and alg2), the benchmark and the regret.
     benchmark="per-round" evaluates the prefix best-fixed benchmark at every
     t (what the CSV trace wants); "final" evaluates it once for the whole
     horizon and leaves the same totals.
@@ -175,12 +181,12 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
     values = F.quantile_array(stream_rng(seed, VALUES).random(T)).tolist() if sampled else None
 
     kind = getattr(learner, "kind", None)
-    state = ROBUSTNESS_STATE.get(kind)
-    plays = None if state and oblivious and not sampled else Plays()  # None: rows are the log
-    state = state if check_steps or plays is None else None
+    state = STATE_ROW.get(kind)
+    plays = None if state else Plays()  # None: the state rows are the log
     if state:
         states = np.empty((T + 1, grid.K))  # row t: the state after round t
         states[0] = getattr(learner, state)
+    build = plays is not None or sampled or not oblivious
 
     tr = Trace(mode, [], [], [], [], [], [], [], [],
                value=[] if sampled else None, bid_index=[] if sampled else None,
@@ -190,10 +196,10 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
     bids, K = grid.bids, grid.K
 
     for t in range(1, T + 1):
-        if plays is not None:
-            strat = learner.strategy()
-            history.current_strategy = strat
-            plays.record(strat)
+        if build:
+            strat = history.current_strategy = learner.strategy()
+            if plays is not None:
+                plays.record(strat)
         h = adversary.next(t, history)
         if not (type(h) is int and 0 <= h <= K):
             h = _grid_index(h, t, K, "adversary returned h=")
@@ -215,13 +221,12 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
 
     h = np.array(tr.h_index)
     if plays is None:  # round t played row t - 1 of states
-        V = states[:T] if kind == "alg2" else ProbabilityStrategy.threshold_rows(
-            grid, learner.F, states[:T])
+        V = states[:T] if state == "v" else threshold_rows(grid, learner.F, states[:T])
         util, rev = ThresholdStrategy.row_columns(grid, F, V, np.arange(T), h)
     else:
         util, rev = plays.exact_columns(F, h)
     del plays  # accounted for: free the strategies before the benchmark pass
-    if check_steps and state:
+    if check_steps and kind in ("alg1", "alg2"):
         slack, phi = robustness_columns(grid, F, states, h, tr.eta, kind)
         bad = np.flatnonzero(~(slack >= -1e-8))  # a NaN slack fails too
         if bad.size:

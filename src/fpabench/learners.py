@@ -22,6 +22,7 @@ from .auction import (
     clamp_probabilities,
     clamp_thresholds,
     threshold_margin,
+    thresholds_from_probabilities,
     utility_gradient,
 )
 from .distributions import ValueDistribution
@@ -35,8 +36,7 @@ from .projection import (  # noqa: F401
     probability_polytope,
     project_oracle,
 )
-from .strategies import (BucketStrategy, ComposedStrategy, MisreportMap, ProbabilityStrategy,
-                         Strategy, ThresholdStrategy)
+from .strategies import BucketStrategy, ComposedStrategy, MisreportMap, Strategy, ThresholdStrategy
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +132,9 @@ class GradientBidder(Learner):
             self._floors, self._poly = None, probability_polytope(grid, F)
         super().__init__(grid, None, policy.at(1))
 
-    def _build_strategy(self) -> ProbabilityStrategy:
-        return ProbabilityStrategy(self.grid, self.F, tuple(self.p))
+    def _build_strategy(self) -> ThresholdStrategy:
+        return ThresholdStrategy(self.grid, tuple(thresholds_from_probabilities(
+            self.grid, self.F, self.p)))
 
     def observe(self, h: int) -> None:
         eta = self.policy.at(self.t)
@@ -256,8 +257,9 @@ class LazyRegularizedBidder(Learner):
         FixedStep(eta)  # raises unless eta is positive and finite
         self.F = F
         self.eta = eta
-        self.p1 = [0.0] * grid.K if p1 is None else list(p1)
-        check_probabilities(self.p1, grid, F, atol=CLAMP_TOL)
+        p = [0.0] * grid.K if p1 is None else p1
+        check_probabilities(p, grid, F, atol=CLAMP_TOL)
+        self.p1 = clamp_probabilities(p, grid, F)  # the anchor takes no drift
         self.p = list(self.p1)
         self._gsum = [0.0] * grid.K
         self._poly = probability_polytope(grid, F)
@@ -316,8 +318,8 @@ class FixedStrategyBidder(Learner):
     kind = "fixed"
 
     def __init__(self, grid: Grid, v):
-        check_thresholds(v, grid)
-        self.v = tuple(v)
+        check_thresholds(v, grid, atol=CLAMP_TOL)
+        self.v = tuple(clamp_thresholds(v, grid))
         super().__init__(grid, ThresholdStrategy(grid, self.v))
 
     def observe(self, h: int) -> None:

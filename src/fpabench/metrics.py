@@ -155,10 +155,6 @@ def potential_threshold_revenue(v, F: ValueDistribution, eta: float) -> float:
     return _left_sum(F.survival_integral(vj) for vj in v) / eta
 
 
-# learner kinds check_robustness_step knows, and the state attribute it reads
-ROBUSTNESS_STATE = {"alg1": "p", "alg2": "v"}
-
-
 def check_robustness_step(grid: Grid, F: ValueDistribution, before, after,
                           h: int, eta: float, kind: str) -> tuple[float, float]:
     """(slack, potential(before)) of the per-round seller-revenue inequality.

@@ -6,11 +6,12 @@ closed form from the value distribution (no sampling), which is what keeps
 regret and robustness measurements noise-free.
 
 A run accounts for its plays after the loop, one columnar kernel per shape:
-``ThresholdStrategy.row_columns`` takes threshold rows (probability rows via
-``ProbabilityStrategy.threshold_rows``), an alg1/alg2 run's state rows or
-those ``exact_columns`` stacks from a ``Plays`` log; piecewise strategies
-(bucket, misreported) have only ``exact_columns``.  ``ThresholdStrategy``
-keeps its scalar ``exact_utility``/``exact_revenue`` for single plays.
+``ThresholdStrategy.row_columns`` takes threshold rows, which are a
+threshold learner's state rows (a probability learner's p rows through
+``auction.threshold_rows``) or those ``exact_columns`` stacks from a
+``Plays`` log; piecewise strategies (bucket, misreported) have only
+``exact_columns``.  ``ThresholdStrategy`` keeps its scalar
+``exact_utility``/``exact_revenue`` for single plays.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 from .auction import (
     probabilities_from_strategy,
     revenue_for_h,
-    thresholds_from_probabilities,
     utility_for_h,
     utility_revenue_rows,
 )
@@ -33,12 +33,13 @@ from .grids import Grid
 
 
 class Plays:
-    """Each round's strategy in a run not logged by its state rows, stored once
-    per run of rounds playing one object (fresh equal objects: one entry each).
+    """Each round's strategy in a run of a learner that has no state rows
+    (a piecewise one, or a kind of its own), stored once per run of rounds
+    playing one object (fresh equal objects: one entry each).
 
-    A learner plays one strategy class on one grid (and under its own F) all
-    run; ``exact_columns`` hands the log to that class's ``exact_columns(F,
-    plays, run, h)``: the (utility, revenue) of ``plays[run[t]]`` against h[t].
+    A learner plays one strategy class on one grid all run; ``exact_columns``
+    hands the log to that class's ``exact_columns(F, plays, run, h)``: the
+    (utility, revenue) of ``plays[run[t]]`` against h[t].
     """
 
     def __init__(self):
@@ -88,33 +89,6 @@ class ThresholdStrategy:
     @classmethod
     def exact_columns(cls, F, plays, run, h):
         return cls.row_columns(plays[0].grid, F, np.array([s.thresholds for s in plays]), run, h)
-
-
-@dataclass(frozen=True)
-class ProbabilityStrategy:
-    """Bid by thresholds v_j = max(F^-(1 - p_j), b_j) under the learner's F, built on first use."""
-
-    grid: Grid
-    F: ValueDistribution
-    p: tuple[float, ...]
-
-    @cached_property
-    def thresholds(self) -> tuple[float, ...]:
-        return tuple(thresholds_from_probabilities(self.grid, self.F, self.p))
-
-    edges, bid_index = ThresholdStrategy.edges, ThresholdStrategy.bid_index
-
-    @staticmethod
-    def threshold_rows(grid, G, P):
-        # thresholds_from_probabilities for every row in one pass, bit for bit:
-        # quantile_array is quantile, np.maximum is max (every b_j > 0)
-        return np.maximum(G.quantile_array(1.0 - P), grid.bids[1:])
-
-    @classmethod
-    def exact_columns(cls, F, plays, run, h):
-        grid, G = plays[0].grid, plays[0].F
-        V = cls.threshold_rows(grid, G, np.array([s.p for s in plays]))
-        return ThresholdStrategy.row_columns(grid, F, V, run, h)
 
 
 class PiecewiseStrategy:
@@ -258,5 +232,5 @@ class ComposedStrategy(PiecewiseStrategy):
         return self.inner.bid_index(self.report(value))
 
 
-Strategy = ThresholdStrategy | ProbabilityStrategy | BucketStrategy | ComposedStrategy
+Strategy = ThresholdStrategy | BucketStrategy | ComposedStrategy
 """Value -> bid index; ``edges`` are the values where the bid may change."""

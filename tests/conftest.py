@@ -5,7 +5,7 @@ checked against."""
 import numpy as np
 import pytest
 
-from fpabench import environments, strategies
+from fpabench import auction, environments, strategies
 from fpabench.rng import TESTING, stream_rng
 from fpabench.strategies import BucketStrategy, Plays
 
@@ -34,8 +34,9 @@ def count_plays(monkeypatch) -> list:
     A ``Plays`` log counts its entries.  A run logged by its state rows counts
     the runs of distinct consecutive rows: numpy's != treats +-0 as equal, as
     the learners' state comparison does, so both paths give one count per
-    strategy a learner would build.  ``environments`` binds the strategy
-    classes for the rows path alone, so the spy there sees no ``Plays`` run.
+    strategy a learner would build.  ``environments`` binds ``threshold_rows``
+    and ``ThresholdStrategy`` for the rows path alone, so the spies there see
+    no ``Plays`` run.
     """
     sizes = []
     columns = Plays.exact_columns
@@ -46,19 +47,19 @@ def count_plays(monkeypatch) -> list:
 
     probabilities = []
 
-    class Rows:
-        def threshold_rows(self, grid, G, P):
-            probabilities.append(P)  # alg1 counts its p rows, not their thresholds
-            return strategies.ProbabilityStrategy.threshold_rows(grid, G, P)
+    def threshold_rows(grid, G, P):
+        probabilities.append(P)  # a p learner counts its p rows, not their thresholds
+        return auction.threshold_rows(grid, G, P)
 
+    class Rows:
         def row_columns(self, grid, F, V, run, h):
             rows = probabilities.pop() if probabilities else V
             sizes.append(1 + int((rows[1:] != rows[:-1]).any(axis=1).sum()))
             return strategies.ThresholdStrategy.row_columns(grid, F, V, run, h)
 
     monkeypatch.setattr(Plays, "exact_columns", spy)
-    for name in ("ProbabilityStrategy", "ThresholdStrategy"):
-        monkeypatch.setattr(environments, name, Rows())
+    monkeypatch.setattr(environments, "threshold_rows", threshold_rows)
+    monkeypatch.setattr(environments, "ThresholdStrategy", Rows())
     return sizes
 
 

@@ -7,9 +7,10 @@ scalar ``best_fixed_utility``, ``utility_for_h``, ``revenue_for_h``,
 accounting in ``conftest`` and ``check_robustness_step`` bit for bit, on
 both grid kinds, K from 1 to 32, every distribution kind, and competing-bid
 sequences that leave bids unplayed (repeated slopes).  Misreported plays
-mix shared and per-play partitions and piece counts.  Probability plays,
-under a learner's F of their own, are checked through the threshold
-strategy the learners built eagerly before.
+mix shared and per-play partitions and piece counts.  Probability rows,
+under a learner's F of their own, go through ``threshold_rows`` as a run's
+state rows do, and are checked against the scalar
+``thresholds_from_probabilities`` and threshold accounting.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from fpabench.auction import (
     revenue_for_h,
     revenue_rows,
     single_shot_best_response,
+    threshold_rows,
     thresholds_from_probabilities,
     utility_for_h,
     utility_rows,
@@ -38,7 +40,6 @@ from fpabench.strategies import (
     ComposedStrategy,
     MisreportMap,
     Plays,
-    ProbabilityStrategy,
     ThresholdStrategy,
 )
 from fpabench.verify import random_distribution, random_feasible
@@ -104,11 +105,10 @@ def _strategies(grid, rng, kind, n):
     if kind == "threshold":
         poly = threshold_polytope(grid)
         return [ThresholdStrategy(grid, tuple(random_feasible(poly, rng))) for _ in range(n)]
-    if kind == "probability":  # under a learner's F of its own, not the run's
+    if kind == "probability":  # a learner's p under its own F, not the run's
         G = random_distribution(rng)
-        poly = probability_polytope(grid, G)
-        return [ProbabilityStrategy(grid, G, tuple(random_feasible(poly, rng)))
-                for _ in range(n)]
+        return [ThresholdStrategy(grid, tuple(thresholds_from_probabilities(grid, G, p)))
+                for p in _probability_rows(grid, G, rng, n).tolist()]
     if kind == "bucket":
         return [BucketStrategy(grid, tuple(rng.integers(0, grid.K + 1, 16).tolist()))
                 for _ in range(n)]
@@ -122,8 +122,6 @@ def _check_plays(F, h, pool, rng, k):
         plays.record(s)
     util, rev = plays.exact_columns(F, h)
     for t, (s, hi) in enumerate(zip(played, h.tolist())):
-        if isinstance(s, ProbabilityStrategy):  # the learners' former eager strategy
-            s = ThresholdStrategy(s.grid, tuple(thresholds_from_probabilities(s.grid, s.F, s.p)))
         if isinstance(s, ThresholdStrategy):
             want = s.exact_utility(F, hi), s.exact_revenue(F, hi)
         else:
@@ -137,6 +135,23 @@ def test_strategy_columns_match_exact_utility_and_revenue(kind):
         rng = make_rng(1100 + k)
         grid, F, h = _instance(rng, k)
         _check_plays(F, h, _strategies(grid, rng, kind, 4), rng, k)
+
+
+def test_probability_rows_match_the_scalar_forms():
+    # a run's p rows under the learner's own F, as the post-pass accounts them
+    for k in range(32):
+        rng = make_rng(1100 + k)
+        grid, F, h = _instance(rng, k)
+        G = random_distribution(rng)
+        P = _probability_rows(grid, G, rng, 4)
+        V = threshold_rows(grid, G, P)
+        run = rng.integers(0, len(P), len(h))  # rows repeat
+        util, rev = ThresholdStrategy.row_columns(grid, F, V, run, h)
+        for t, (r, hi) in enumerate(zip(run.tolist(), h.tolist())):
+            v = thresholds_from_probabilities(grid, G, P[r].tolist())
+            assert V[r].tolist() == v, (k, t)
+            s = ThresholdStrategy(grid, tuple(v))
+            assert (util[t], rev[t]) == (s.exact_utility(F, hi), s.exact_revenue(F, hi)), (k, t)
 
 
 @pytest.mark.parametrize("inner,maps", [

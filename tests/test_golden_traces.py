@@ -2,7 +2,7 @@
 
 Each case runs one config at one seed and hashes ``trace_rep0.csv`` and
 ``summary.json`` with its ``wall_time_s`` removed.  The configs are the
-benchmark's single_trace and oracle_path jobs, one sampled run and two
+benchmark's single_trace and oracle_path jobs, three sampled runs and three
 misreporting learners on an equal-revenue prior.  The multi-buyer cases
 hash the repr of every ``MultiBuyerResult`` field instead.  A change that
 moves a digest moves a trace or a summary, and must say which and why.
@@ -39,15 +39,23 @@ CONFIGS = {
                              + _OP_TAIL),
     "oracle_path_alg1_irregular": _IRREGULAR8 + "learner: alg1\n" + _OP_TAIL,
     "sampled_alg2": _K4 + "learner: alg2\n" + _ST_TAIL + "mode: sampled\n",
+    "sampled_alg1": _K4 + "learner: alg1\n" + _ST_TAIL + "mode: sampled\n",
+    "sampled_lazyftrl": ("grid: {K: 8, eps: 0.1}\ndist: uniform\nlearner: lazyftrl\n"
+                         + _OP_TAIL + "mode: sampled\n"),
     "misreport_ftl_equirev": (f"preset: example52(T=1500)\n"
                               f"learner: misreport(ftl(buckets=64), {_QUARTER})\n"),
     "misreport_alg2_equirev": ("grid: {K: 4, eps: 0.2}\ndist: equirev(0.1)\n"
                                f"learner: misreport(alg2, {_QUARTER})\n"
                                "adversary: stochastic(0.3,0.25,0.2,0.15,0.1)\nT: 1500\n"),
+    "misreport_alg1_equirev": ("grid: {K: 4, eps: 0.2}\ndist: equirev(0.1)\n"
+                               f"learner: misreport(alg1, {_QUARTER})\n"
+                               "adversary: stochastic(0.3,0.25,0.2,0.15,0.1)\nT: 1500\n"),
 }
 
 # (config, seed) -> (sha256 of trace_rep0.csv, sha256 of summary.json
-# without wall_time_s), recorded at commit 0516a0e
+# without wall_time_s), recorded at commit 0516a0e; the sampled alg1 and
+# lazyftrl runs and misreport(alg1) at commit 1c51863, before those runs
+# were logged by their learners' state rows
 DIGESTS = {
     ("single_trace_alg1", 4242): (
         "db891b923582e6865482c724c26461f3b6daabf2de0fe0184096e54710f4ac34",
@@ -103,6 +111,24 @@ DIGESTS = {
     ("misreport_alg2_equirev", 99): (
         "f47ad9fb20d4d57bf836dbcb19b5bd4902e759ce779defdb9ebd12c2252db9f9",
         "8682d3298c9d2f0e6e977d8b7b43c21669866bf6d4f1ce2483baeb20e65e882a"),
+    ("sampled_alg1", 4242): (
+        "6eddee766e7e1143ad3d10625ed47becad733ac8cf25704f7f7a67ffbf326b7c",
+        "7411d1a2aa8a1b9f3f9fbd8ea611abca5fbad4fd032e4e14c38e6beeb37a778e"),
+    ("sampled_alg1", 7): (
+        "c93fb0e1cebaadda8fb15cc433cf51b7891985dbe6b1655f79eeed24fe72822b",
+        "5b8b8ad1f742394436b5b7380c3ca8c7310d3a09abd2bd45af760aec86a21ad2"),
+    ("sampled_lazyftrl", 4242): (
+        "e11a064b822d4d7641f490718d5acd6dde0e7ccadcb36c65bad6d306ac9f451c",
+        "69e94d6c6f22f168401a9d54280c5bdf15a624573418d35a378ae318dad2d35c"),
+    ("sampled_lazyftrl", 99): (
+        "69e8bb4963ee8e45818a4ab0d239baf0652fbf9017a1db413b299e9ad4eee7c8",
+        "b6f6808239f7f0b3f701123b6acc76359c3bde46cb5b55251c8db84f45bee701"),
+    ("misreport_alg1_equirev", 7): (
+        "5c83cb0aba10db1412aa3e947ebfac62a2462beee574c1e46d1396a7647eb9d9",
+        "22e909daca7ec2d59da1a3a4a80d7d75a3534b66591537937fc0eeb4fc3db412"),
+    ("misreport_alg1_equirev", 99): (
+        "c45964e832d5f4848937699c868d7e2ad5cdd019545514e5f4608113d1bac366",
+        "77fb1ade713bd8a1a046417a21b544233d7d700b7cef387c5d80529b8d2f5cbc"),
 }
 
 
@@ -141,7 +167,7 @@ def test_golden_digests_do_not_depend_on_the_builtin_sum(tmp_path, monkeypatch, 
 # (config, seed) -> plays of the run (``count_plays``): a gradient or lazy
 # learner rebuilds its strategy only when p changes, so a round that leaves p
 # as it was repeats the previous play (alg1 moves p in nearly every round).
-# lazyftrl counts Plays entries; oblivious alg1 is logged by its state rows
+# Both are logged by their state rows.
 PLAYS_ENTRIES = {
     ("oracle_path_lazyftrl", 4242): 384,
     ("oracle_path_lazyftrl", 7): 356,

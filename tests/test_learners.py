@@ -264,6 +264,29 @@ def test_start_points_are_checked_at_the_clamp_tolerance():
     ThresholdBidder(grid, 0.01, v1=[0.25, 0.6]).observe(2)
 
 
+def test_probability_start_points_are_snapped():
+    # p_2 is 5e-13 above p_1, within the clamp tolerance: both probability
+    # learners play the snapped (0.5, 0.5), which bids 0 just below 0.5,
+    # and the lazy learner anchors its sums there too
+    grid, p1 = BidGrid(2, 0.1), [0.5, 0.5 + 5e-13]
+    lazy = LazyRegularizedBidder(grid, Uniform(), 0.05, p1=p1)
+    assert lazy.p1 == [0.5, 0.5]
+    for lrn in (GradientBidder(grid, Uniform(), FixedStep(0.05), p1=p1), lazy):
+        assert lrn.p == [0.5, 0.5]
+        assert lrn.strategy().thresholds == (0.5, 0.5)
+        assert lrn.strategy().bid_index(0.49999999999975) == 0
+
+
+def test_fixed_thresholds_are_checked_at_the_clamp_tolerance_and_snapped():
+    grid = BidGrid(2, 0.25)
+    with pytest.raises(ValueError) as err:
+        FixedStrategyBidder(grid, [0.5, 0.5 - 5e-10])
+    assert str(err.value).startswith("v_2=")
+    lrn = FixedStrategyBidder(grid, [0.5, 0.5 - 5e-13])
+    assert lrn.v == (0.5, 0.5) and lrn.strategy().thresholds == (0.5, 0.5)
+    assert lrn.strategy().bid_index(0.4999999999998) == 0
+
+
 _G4 = BidGrid(4, 0.2)
 _QUARTER = MisreportMap((0.0, 0.5, 1.0), (0.0, 0.25, 1.0))
 LEARNERS = {
