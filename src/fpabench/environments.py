@@ -143,6 +143,13 @@ def _grid_index(value, t: int, K: int, label: str) -> int:
     return i
 
 
+def _check_prior(F, buyer: str) -> None:
+    if not isinstance(F, ValueDistribution):
+        kinds = ", ".join(k.__name__ for k in ValueDistribution.__args__)
+        raise TypeError(f"{buyer}'s value distribution must be one of {kinds}, "
+                        f"got {type(F).__name__}")
+
+
 def _check_horizon(T) -> int:
     if isinstance(T, bool) or not isinstance(T, numbers.Integral) or T < 1:
         raise ValueError(f"T must be a positive integer, got {T!r}")
@@ -157,8 +164,9 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
     The loop only advances the learner: it records each round's h, eta and
     play.  The play of a learner kind in ``STATE_ROW`` is its state row (p
     or v), in every mode and against every adversary; any other learner's
-    is its strategy, in ``Plays``.  A strategy object is built only to be
-    logged, to place a sampled bid or to show an adaptive adversary.  One
+    is its strategy, in ``Plays``.  A sampled bid is the learner's
+    ``bid_index``, so the loop asks for a strategy object only to log it or
+    to show an adaptive adversary.  One
     pass after the loop computes every other column from those records:
     exact utility and revenue, the potentials and robustness slacks (alg1
     and alg2), the benchmark and the regret.
@@ -167,6 +175,7 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
     horizon and leaves the same totals.
     """
     T = _check_horizon(T)
+    _check_prior(F, "the buyer")
     if mode not in ("exact", "sampled"):
         raise ValueError("mode must be exact or sampled")
     if benchmark not in ("per-round", "final"):
@@ -186,7 +195,7 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
     if state:
         states = np.empty((T + 1, grid.K))  # row t: the state after round t
         states[0] = getattr(learner, state)
-    build = plays is not None or sampled or not oblivious
+    build = plays is not None or not oblivious
 
     tr = Trace(mode, [], [], [], [], [], [], [], [],
                value=[] if sampled else None, bid_index=[] if sampled else None,
@@ -206,7 +215,7 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
 
         if sampled:
             val = values[t - 1]
-            b = strat.bid_index(val)
+            b = learner.bid_index(val)
             won = b >= h
             tr.value.append(val)
             tr.bid_index.append(b)
@@ -283,16 +292,27 @@ def run_multi_buyer(grid: Grid, distributions, learners, reserve, T: int,
     ``reserve`` is a grid index, a per-round sequence, or a callable t ->
     index; each is read for all T rounds and checked before the first.
     Ties go to the buyer with the best (lowest) ranking draw.  Sampled
-    mode only: values are realized, bids are realized.  Each round is one
-    pass over the buyers: every buyer's h is ``effective_competing_bid``
-    against its strongest rival alone.
+    mode only: values are realized, and each buyer's bid is its learner's
+    ``bid_index``.  Each round is one pass over the buyers: every buyer's
+    h is ``effective_competing_bid`` against its strongest rival alone.
+    Each buyer needs a learner object of its own, a misreporting wrapper's
+    inner learner included: a shared one would step once per buyer.
     """
     T = _check_horizon(T)
     n = len(distributions)
     if n < 2 or len(learners) != n:
         raise ValueError("need >= 2 buyers with one learner each")
+    for i, F in enumerate(distributions):
+        _check_prior(F, f"buyer {i}")
     if any(lrn.grid != grid for lrn in learners):
         raise ValueError("every learner must bid on the auction's grid")
+    owner = {}  # id of each object a round steps -> the first buyer it steps for
+    for i, lrn in enumerate(learners):
+        for key in {id(lrn), id(getattr(lrn, "inner", lrn))}:
+            j = owner.setdefault(key, i)
+            if j != i:
+                raise ValueError(f"buyers {j} and {i} share one learner object; "
+                                 "each buyer needs its own")
     K = grid.K
     if callable(reserve):
         reserve = map(reserve, range(1, T + 1))
@@ -310,7 +330,7 @@ def run_multi_buyer(grid: Grid, distributions, learners, reserve, T: int,
 
     res = MultiBuyerResult([], [], [], [], [], [])
     for r, vals, scores in zip(seq, value_rows, score_rows):
-        bvec = [lrn.strategy().bid_index(v) for lrn, v in zip(learners, vals)]
+        bvec = [lrn.bid_index(v) for lrn, v in zip(learners, vals)]
 
         # champion c (bid bc, draw sc) and runner-up (bd, sd): highest bid,
         # ties to the lowest draw

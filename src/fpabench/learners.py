@@ -1,14 +1,16 @@
 """Online bidding learners.
 
 All learners share the same tiny interface: ``strategy()`` exposes the
-current round's bidding strategy, ``observe(h)`` consumes the highest
-competing bid (full feedback) and advances exactly one round, and
-``foresee(hs)`` hands over the h-sequence of an oblivious adversary first.
-Every learner is deterministic given its h-sequence.
+current round's bidding strategy, ``bid_index(value)`` is the bid it
+places for a value, ``observe(h)`` consumes the highest competing bid
+(full feedback) and advances exactly one round, and ``foresee(hs)`` hands
+over the h-sequence of an oblivious adversary first.  Every learner is
+deterministic given its h-sequence.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -91,7 +93,8 @@ _CHUNK_CELLS = 2**14  # per FTL pass: 51 rounds at K=4, 64 buckets; 1 at the cap
 
 class Learner:
     """``strategy()`` returns ``_strategy``, one object until ``observe``
-    changes what it is built from; one dropped (set to None) is rebuilt on use."""
+    changes what it is built from; one dropped (set to None) is rebuilt on use.
+    ``bid_index`` bids through that object unless a learner overrides it."""
 
     kind: str
 
@@ -106,6 +109,9 @@ class Learner:
         if s is None:
             s = self._strategy = self._build_strategy()
         return s
+
+    def bid_index(self, value: float) -> int:
+        return self.strategy().bid_index(value)
 
     def foresee(self, hs) -> None:
         """The h of the rounds to come, in order; ``observe`` still gets each one."""
@@ -172,6 +178,10 @@ class ThresholdBidder(Learner):
 
     def _build_strategy(self) -> ThresholdStrategy:
         return ThresholdStrategy(self.grid, tuple(self.v))
+
+    def bid_index(self, value: float) -> int:
+        # ThresholdStrategy.bid_index on the same floats, with no object built
+        return bisect.bisect_left(self.v, value)
 
     def observe(self, h: int) -> None:
         # ga_step_thresholds unchecked: v1 was snapped, later v are the step's output
@@ -321,6 +331,8 @@ class FixedStrategyBidder(Learner):
         check_thresholds(v, grid, atol=CLAMP_TOL)
         self.v = tuple(clamp_thresholds(v, grid))
         super().__init__(grid, ThresholdStrategy(grid, self.v))
+
+    bid_index = ThresholdBidder.bid_index
 
     def observe(self, h: int) -> None:
         check_bid_index(h, self.grid)

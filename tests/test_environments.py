@@ -27,9 +27,11 @@ from fpabench.learners import (
     GradientBidder,
     LazyRegularizedBidder,
     MeanBasedBucketBidder,
+    MisreportingBidder,
     ThresholdBidder,
 )
 from fpabench.rng import ADVERSARY, RANKING, VALUES, stream_rng
+from fpabench.strategies import MisreportMap, ThresholdStrategy
 
 
 GRID = BidGrid(2, 0.25)
@@ -426,6 +428,45 @@ def test_run_single_buyer_rejects_a_learner_on_another_grid(K):
     assert lrn.t == 1
 
 
+@pytest.mark.parametrize("prior", [None, 0.5, "uniform"])
+def test_run_single_buyer_rejects_a_prior_that_is_no_distribution(prior):
+    # unchecked, the whole loop ran and the post-pass raised AttributeError
+    lrn = ThresholdBidder(GRID, 0.02)
+    with pytest.raises(TypeError, match=f"^the buyer's value distribution must be one of "
+                                        f"Uniform, EqualRevenue, PiecewiseLinearCDF, "
+                                        f"got {type(prior).__name__}$"):
+        run_single_buyer(GRID, prior, lrn, _PrepareForbidden(), 10, mode="sampled")
+    assert lrn.t == 1
+
+
+@pytest.mark.parametrize("prior", [None, 0.5])
+def test_run_multi_buyer_rejects_a_prior_that_is_no_distribution(prior):
+    # unchecked, the value draw raised AttributeError on quantile_array
+    g = BidGrid(4, 0.125)
+    bidders = [ThresholdBidder(g, 0.01) for _ in range(3)]
+    with pytest.raises(TypeError, match=f"^buyer 2's value distribution must be one of .*, "
+                                        f"got {type(prior).__name__}$"):
+        run_multi_buyer(g, [Uniform(), EqualRevenue(0.1), prior], bidders, 4, 10)
+    assert all(lrn.t == 1 for lrn in bidders)
+
+
+def test_run_multi_buyer_refuses_one_learner_for_several_buyers():
+    # unchecked, [lrn] * 3 ran silently and stepped lrn up to three times a
+    # round: t == 285 after 100 rounds
+    g = BidGrid(4, 0.125)
+    lrn = ThresholdBidder(g, 0.02)
+    with pytest.raises(ValueError, match="^buyers 0 and 1 share one learner object"):
+        run_multi_buyer(g, [Uniform()] * 3, [lrn] * 3, 2, 100)
+    other = ThresholdBidder(g, 0.02)
+    with pytest.raises(ValueError, match="^buyers 0 and 2 share one learner object"):
+        run_multi_buyer(g, [Uniform()] * 3, [lrn, other, lrn], 2, 100)
+    # a misreporting wrapper steps its inner learner
+    wrapped = MisreportingBidder(lrn, MisreportMap.identity())
+    with pytest.raises(ValueError, match="^buyers 1 and 2 share one learner object"):
+        run_multi_buyer(g, [Uniform()] * 3, [other, lrn, wrapped], 2, 100)
+    assert lrn.t == 1 and other.t == 1
+
+
 # ---------------------------------------------------------------------------
 # the one-pass multi-buyer round against the per-buyer reference loop
 
@@ -486,6 +527,7 @@ def _reference_run_multi_buyer(grid, distributions, learners, reserve, T, seed):
 
 _G4 = BidGrid(4, 0.125)
 _PWL = PiecewiseLinearCDF((0.0, 0.3, 0.7, 1.0), (0.0, 0.6, 0.7, 1.0))
+_SHADE = MisreportMap((0.0, 0.5, 0.5, 1.0), (0.0, 0.5, 0.25, 0.25))
 
 
 def _thresholds(n, grid=_G4, eta=0.02):
@@ -517,6 +559,23 @@ MULTI_CONFIGS = {
                                      FixedStrategyBidder(_G4, (0.25, 0.5, 0.5, 0.75)),
                                      FixedStrategyBidder(_G4, (0.2, 0.4, 1.0, 1.0))],
                             3, 800),
+    # buyers that bid through strategy() (the default bid_index) beside
+    # threshold bidders, which bid from v
+    "default_path_mix": (_G4, [Uniform(), EqualRevenue(0.1), _PWL, Uniform(), Uniform(),
+                               EqualRevenue(0.1)],
+                         lambda: [GradientBidder(_G4, EqualRevenue(0.1), FixedStep(0.03)),
+                                  ThresholdBidder(_G4, 0.03),
+                                  LazyRegularizedBidder(_G4, _PWL, 0.02),
+                                  MeanBasedBucketBidder(_G4, 16),
+                                  MisreportingBidder(ThresholdBidder(_G4, 0.02), _SHADE),
+                                  ThresholdBidder(_G4, 0.01)],
+                         1, 800),
+    "misreport_pair": (_G4, [Uniform()] * 3,
+                       lambda: [MisreportingBidder(ThresholdBidder(_G4, 0.02), _SHADE),
+                                MisreportingBidder(ThresholdBidder(_G4, 0.02),
+                                                   MisreportMap.identity()),
+                                ThresholdBidder(_G4, 0.02)],
+                       lambda t: t % 3, 800),
 }
 _RESULT_FIELDS = ("revenue", "h_index", "values", "bid_index", "utility", "winner")
 
@@ -529,3 +588,24 @@ def test_multi_buyer_round_matches_the_reference_loop_bit_for_bit(name, seed):
     want = _reference_run_multi_buyer(grid, dists, make(), reserve, T, seed)
     for f in _RESULT_FIELDS:  # repr pins types and float bits, not just ==
         assert repr(getattr(got, f)) == repr(getattr(want, f)), f
+
+
+def test_threshold_bidders_bid_without_building_a_strategy(monkeypatch):
+    built = []  # every ThresholdStrategy the learners module builds
+
+    def spy(*args):
+        built.append(args)
+        return ThresholdStrategy(*args)
+
+    monkeypatch.setattr("fpabench.learners.ThresholdStrategy", spy)
+    ThresholdBidder(_G4, 0.02).strategy()
+    assert len(built) == 1  # the spy sees the builds it should count
+    built.clear()
+    # the multi_buyer workload's shape: 3 threshold bidders, K=4, reserve 4
+    res = run_multi_buyer(_G4, [Uniform()] * 3, _thresholds(3, eta=0.01)(), 4, 2000, seed=3)
+    assert any(w >= 0 for w in res.winner) and built == []
+    # sampled alg2 against an oblivious adversary
+    lrn = ThresholdBidder(_G4, 0.02)
+    tr = run_single_buyer(_G4, Uniform(), lrn, StochasticCompetition((0.2,) * 5), 500,
+                          mode="sampled", seed=4)
+    assert len(set(tr.bid_index)) > 1 and built == []

@@ -335,6 +335,20 @@ def test_strategy_is_one_object_until_the_state_changes(kind):
         assert 0 < changes < 300
 
 
+@pytest.mark.parametrize("kind", list(LEARNERS))
+def test_bid_index_is_the_strategys_bid_in_every_round(kind):
+    # threshold learners bisect their own v; the others bid through strategy()
+    lrn = LEARNERS[kind]()
+    rng = make_rng(57)
+    for h in rng.integers(0, 5, size=200):
+        s = lrn.strategy()
+        edges = [e for e in s.edges if 0.0 <= e <= 1.0]
+        values = [0.0, 1.0, *edges, *[math.nextafter(e, 2.0) for e in edges],
+                  *rng.random(8).tolist()]
+        assert [lrn.bid_index(v) for v in values] == [s.bid_index(v) for v in values]
+        lrn.observe(int(h))
+
+
 def test_misreport_reuses_its_strategy_while_the_inner_one_is_unchanged():
     lrn = LEARNERS["misreport"]()
     for h in [4] * 40 + [1] * 40:
