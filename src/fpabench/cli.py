@@ -82,15 +82,19 @@ def _trace_csv(trace) -> str:
     return "\n".join(blocks)
 
 
-def _run_replication(cfg: ExperimentConfig, rep: int):
-    """One replication; returns (rep, csv text, summary dict) or raises."""
+def _run_replication(cfg: ExperimentConfig, rep: int, write: bool):
+    """One replication; returns (rep, csv text, summary dict) or raises.
+
+    A trace not to be written (every sweep point, a run with no out directory)
+    runs the final benchmark, whose totals are the same bits, and formats no CSV.
+    """
     seed = cfg.seed + rep
     learner = cfg.make_learner()
     t0 = time.perf_counter()
     try:
         trace = run_single_buyer(cfg.grid, cfg.dist, learner, cfg.make_adversary(),
-                                 cfg.T, mode=cfg.mode, seed=seed,
-                                 check_steps=cfg.checks, benchmark=cfg.benchmark)
+                                 cfg.T, mode=cfg.mode, seed=seed, check_steps=cfg.checks,
+                                 benchmark=cfg.benchmark if write else "final")
         gap = None
         if isinstance(learner, MisreportingBidder):
             # the truthful twin feeds only ic_gap, which reads h_index and
@@ -127,28 +131,25 @@ def _run_replication(cfg: ExperimentConfig, rep: int):
         "wall_time_s": wall,
         "bounds": bounds,
     }
-    return rep, _trace_csv(trace), summary
+    return rep, _trace_csv(trace) if write else None, summary
 
 
 def _execute(cfg: ExperimentConfig, out_dir: Path | None, threads: int | None):
-    if out_dir is not None:  # before any replication runs
+    write = out_dir is not None
+    if write:  # before any replication runs
         out_dir.mkdir(parents=True, exist_ok=True)
     reps = cfg.replications
     workers = _worker_count(reps, threads)
-    results = [None] * reps
+    jobs = [cfg] * reps, range(reps), [write] * reps
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            for rep, csv_text, summary in ex.map(
-                    _run_replication, [cfg] * reps, range(reps)):
-                results[rep] = (csv_text, summary)
+            results = list(ex.map(_run_replication, *jobs))  # in rep order
     else:
-        for rep in range(reps):
-            _, csv_text, summary = _run_replication(cfg, rep)
-            results[rep] = (csv_text, summary)
+        results = list(map(_run_replication, *jobs))
 
-    summaries = [s for _, s in results]
-    if out_dir is not None:
-        for rep, (csv_text, _) in enumerate(results):
+    summaries = [s for _, _, s in results]
+    if write:
+        for rep, csv_text, _ in results:
             (out_dir / f"trace_rep{rep}.csv").write_text(csv_text)
         (out_dir / "summary.json").write_text(
             json.dumps({"config": cfg.learner_spec, "replications": summaries},

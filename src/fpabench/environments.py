@@ -162,14 +162,14 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
     """Run the repeated-auction protocol for one buyer.
 
     The loop only advances the learner: it records each round's h, eta and
-    play.  The play of a learner kind in ``STATE_ROW`` is its state row (p
-    or v), in every mode and against every adversary; any other learner's
-    is its strategy, in ``Plays``.  A sampled bid is the learner's
-    ``bid_index``, so the loop asks for a strategy object only to log it or
-    to show an adaptive adversary.  One
-    pass after the loop computes every other column from those records:
-    exact utility and revenue, the potentials and robustness slacks (alg1
-    and alg2), the benchmark and the regret.
+    play, and a sampled run's value and bid (the learner's ``bid_index``).
+    The play of a learner kind in ``STATE_ROW`` is its state row (p or v),
+    in every mode and against every adversary; any other learner's is its
+    strategy, in ``Plays``.  A strategy object is built only to log it or to
+    show an adaptive adversary, which sees past h and past values only.  One
+    pass after the loop computes every other column from those records
+    (exact utility and revenue, alg1's and alg2's potentials and slacks, the
+    benchmark, the regret, a sampled run's win and payment), then the Trace.
     benchmark="per-round" evaluates the prefix best-fixed benchmark at every
     t (what the CSV trace wants); "final" evaluates it once for the whole
     horizon and leaves the same totals.
@@ -197,12 +197,10 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
         states[0] = getattr(learner, state)
     build = plays is not None or not oblivious
 
-    tr = Trace(mode, [], [], [], [], [], [], [], [],
-               value=[] if sampled else None, bid_index=[] if sampled else None,
-               win=[] if sampled else None, payment=[] if sampled else None)
-    # the adversary reads the recorded columns, which grow round by round
-    history = History(past_h=tr.h_index, past_values=tr.value if sampled else [])
-    bids, K = grid.bids, grid.K
+    hs, etas, seen, bid = [], [], [], []  # seen and bid stay empty in exact mode
+    # the adversary reads the recorded lists, which grow round by round
+    history = History(past_h=hs, past_values=seen)
+    K = grid.K
 
     for t in range(1, T + 1):
         if build:
@@ -212,23 +210,16 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
         h = adversary.next(t, history)
         if not (type(h) is int and 0 <= h <= K):
             h = _grid_index(h, t, K, "adversary returned h=")
-
         if sampled:
-            val = values[t - 1]
-            b = learner.bid_index(val)
-            won = b >= h
-            tr.value.append(val)
-            tr.bid_index.append(b)
-            tr.win.append(won)
-            tr.payment.append(bids[b] if won else 0.0)
-
+            seen.append(values[t - 1])
+            bid.append(learner.bid_index(seen[-1]))
         learner.observe(h)
-        tr.h_index.append(h)
-        tr.eta.append(learner.last_eta)
+        hs.append(h)
+        etas.append(learner.last_eta)
         if state:
             states[t] = getattr(learner, state)
 
-    h = np.array(tr.h_index)
+    h = np.array(hs)
     if plays is None:  # round t played row t - 1 of states
         V = states[:T] if state == "v" else threshold_rows(grid, learner.F, states[:T])
         util, rev = ThresholdStrategy.row_columns(grid, F, V, np.arange(T), h)
@@ -236,20 +227,23 @@ def run_single_buyer(grid: Grid, F: ValueDistribution, learner, adversary: Adver
         util, rev = plays.exact_columns(F, h)
     del plays  # accounted for: free the strategies before the benchmark pass
     if check_steps and kind in ("alg1", "alg2"):
-        slack, phi = robustness_columns(grid, F, states, h, tr.eta, kind)
+        slack, phi = robustness_columns(grid, F, states, h, etas, kind)
         bad = np.flatnonzero(~(slack >= -1e-8))  # a NaN slack fails too
         if bad.size:
             raise AssertionError(f"per-step robustness inequality violated at "
                                  f"t={bad[0] + 1}: slack={float(slack[bad[0]])}")
-        tr.potential, tr.slack = phi.tolist(), slack.tolist()
+        potential, slack = phi.tolist(), slack.tolist()
     else:
-        tr.potential, tr.slack = [math.nan] * T, [math.nan] * T
+        potential, slack = [math.nan] * T, [math.nan] * T
     bench = benchmark_columns(grid, F, h, final=benchmark == "final")
     bench *= np.arange(1, T + 1)
-    tr.exp_utility, tr.exp_revenue = util.tolist(), rev.tolist()
-    tr.benchmark_cum = bench.tolist()
-    tr.regret_cum = (bench - np.cumsum(util)).tolist()
-    return tr
+    draws = {}
+    if sampled:
+        win = np.array(bid) >= h
+        draws = dict(value=seen, bid_index=bid, win=win.tolist(),
+                     payment=np.where(win, np.take(grid.bids, bid), 0.0).tolist())
+    return Trace(mode, hs, etas, util.tolist(), rev.tolist(), potential, slack,
+                 bench.tolist(), (bench - np.cumsum(util)).tolist(), **draws)
 
 
 # ---------------------------------------------------------------------------

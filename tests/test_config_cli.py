@@ -265,11 +265,15 @@ def test_cli_misreport_twin_skips_the_prefix_benchmark(tmp_path, monkeypatch):
         calls.clear()
         cfg.write_text(MINIMAL.replace("alg2(eta=0.01)", "misreport(alg2, map=0:0;1:0.5)")
                        .replace("T: 10000", "T: 50") + f"mode: {mode}\n")
-        assert cli_main(["run", "--config", str(cfg)]) == 0
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         # the misreporting run keeps the config's benchmark and mode; its
         # truthful twin feeds only ic_gap, which reads no benchmark column
         # and no sampled draw
         assert calls == [("per-round", mode), ("final", "exact")]
+        calls.clear()
+        # a trace that is not written needs no per-round benchmark either
+        assert cli_main(["run", "--config", str(cfg)]) == 0
+        assert calls == [("final", mode), ("final", "exact")]
 
 
 def test_cli_bounds_come_from_the_metrics_cap_table(tmp_path):
@@ -450,6 +454,26 @@ def test_cli_sweep_emits_one_row_per_point(tmp_path, capsys):
     assert len(out_lines) == 3
     sweep = (tmp_path / "sw" / "sweep.csv").read_text().strip().splitlines()
     assert len(sweep) == 3
+
+
+def test_cli_sweep_formats_no_csv(tmp_path, monkeypatch, capsys):
+    import fpabench.cli as cli
+    formatted, real = [], cli._trace_csv
+
+    def recording(trace):
+        formatted.append(trace)
+        return real(trace)
+
+    monkeypatch.setattr(cli, "_trace_csv", recording)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL.replace("T: 10000", "T: 50"))
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(formatted) == 1  # the spy sees a written trace
+    formatted.clear()
+    capsys.readouterr()
+    assert cli_main(["sweep", "--config", str(cfg), "--param", "T=40,60",
+                     "--out", str(tmp_path / "sw")]) == 0
+    assert formatted == [] and len(capsys.readouterr().out.splitlines()) == 3
 
 
 @pytest.mark.parametrize("value", ["two", "0"])

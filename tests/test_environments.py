@@ -31,7 +31,7 @@ from fpabench.learners import (
     ThresholdBidder,
 )
 from fpabench.rng import ADVERSARY, RANKING, VALUES, stream_rng
-from fpabench.strategies import MisreportMap, ThresholdStrategy
+from fpabench.strategies import ComposedStrategy, MisreportMap, ThresholdStrategy
 
 
 GRID = BidGrid(2, 0.25)
@@ -609,3 +609,55 @@ def test_threshold_bidders_bid_without_building_a_strategy(monkeypatch):
     tr = run_single_buyer(_G4, Uniform(), lrn, StochasticCompetition((0.2,) * 5), 500,
                           mode="sampled", seed=4)
     assert len(set(tr.bid_index)) > 1 and built == []
+
+
+def test_misreporting_threshold_bidders_bid_without_building_a_strategy(monkeypatch):
+    built = []  # every ThresholdStrategy and ComposedStrategy the learners module builds
+
+    def spy(cls):
+        def build(*args):
+            built.append(cls)
+            return cls(*args)
+        return build
+
+    for cls in (ThresholdStrategy, ComposedStrategy):
+        monkeypatch.setattr(f"fpabench.learners.{cls.__name__}", spy(cls))
+    MisreportingBidder(ThresholdBidder(_G4, 0.02), _SHADE).strategy()
+    assert built == [ThresholdStrategy, ComposedStrategy]  # the spies see the builds
+    built.clear()
+    # three misreport(alg2) buyers, shading by 10%, in the multi_buyer workload's shape
+    shade = MisreportMap((0.0, 1.0), (0.0, 0.9))
+    buyers = [MisreportingBidder(ThresholdBidder(_G4, 0.01), shade) for _ in range(3)]
+    res = run_multi_buyer(_G4, [Uniform()] * 3, buyers, 4, 1500, seed=3)
+    assert any(w >= 0 for w in res.winner) and built == []
+
+
+def _peeking(K):
+    def fn(t, history):  # reads only what a round may see: the past
+        assert len(history.past_h) == len(history.past_values) == t - 1
+        return (t + sum(history.past_h[-3:]) + int(8 * sum(history.past_values[-2:]))) % (K + 1)
+    return fn
+
+
+SAMPLED_LEARNERS = {
+    "alg1": lambda: GradientBidder(_G4, Uniform(), FixedStep(0.05)),
+    "alg2": lambda: ThresholdBidder(_G4, 0.05),
+    "lazyftrl": lambda: LazyRegularizedBidder(_G4, Uniform(), 0.05),
+    "fixed": lambda: FixedStrategyBidder(_G4, (0.2, 0.4, 0.6, 0.8)),
+    "ftl": lambda: MeanBasedBucketBidder(_G4, 8),
+    "misreport(alg2)": lambda: MisreportingBidder(ThresholdBidder(_G4, 0.05), _SHADE),
+}
+
+
+@pytest.mark.parametrize("adversary", ["stochastic", "adaptive"])
+@pytest.mark.parametrize("kind", list(SAMPLED_LEARNERS))
+def test_sampled_win_and_payment_are_each_rounds_outcome(kind, adversary):
+    adv = (StochasticCompetition((0.3, 0.25, 0.2, 0.15, 0.1)) if adversary == "stochastic"
+           else AdaptiveCompetition(_peeking(_G4.K)))
+    tr = run_single_buyer(_G4, Uniform(), SAMPLED_LEARNERS[kind](), adv, 300,
+                          mode="sampled", seed=9)
+    assert len(tr.win) == len(tr.payment) == 300 and 0 < sum(tr.win) < 300
+    for b, h, won, paid in zip(tr.bid_index, tr.h_index, tr.win, tr.payment):
+        assert repr(won) == repr(b >= h)
+        assert repr(paid) == repr(_G4.bids[b] if b >= h else 0.0)
+    assert tr.potential is not tr.slack
