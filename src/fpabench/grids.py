@@ -38,6 +38,7 @@ class BidGrid:
             raise ValueError("largest bid K*eps must not exceed 1")
         if self.K > 2**24:  # refused before the bids are built
             raise ValueError(f"K={self.K} is more than 2**24 bids")
+        object.__setattr__(self, "eps", float(self.eps))  # an int eps would give int bids
         object.__setattr__(self, "bids", tuple(i * self.eps for i in range(self.K + 1)))
 
 

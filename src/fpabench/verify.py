@@ -3,7 +3,8 @@
 Each suite draws its instances from the generator it is given and returns
 ``(number of checks, worst value seen)``:
 
-* ``projection``  closed-form projected step vs the exact oracle, both polytopes
+* ``projection``  closed-form projected step vs the exact oracle, both
+                  polytopes; every oracle output passes its KKT certificate
 * ``mirror``      threshold learner == 1 - probability learner under uniform F
 * ``gradient``    analytic utility gradient vs central finite differences
 * ``concavity``   midpoint strong-concavity margin of the expected utility
@@ -26,6 +27,7 @@ from .grids import BidGrid
 from .learners import FixedStep, GradientBidder, ThresholdBidder
 from .metrics import check_regret_step, strong_concavity_modulus
 from .projection import (
+    _verify_block_optimality,
     ga_step_probabilities,
     ga_step_thresholds,
     probability_polytope,
@@ -94,20 +96,25 @@ def closed_form_error(grid, F, i, eta, rng) -> float:
     """Largest coordinate gap between both closed-form steps and the oracle.
 
     Each step starts from a random feasible point of its polytope
-    (probabilities first, then thresholds).
+    (probabilities first, then thresholds).  Every oracle output must pass
+    its KKT certificate first.
     """
     ppoly = probability_polytope(grid, F)
     p = random_feasible(ppoly, rng)
     got, _ = ga_step_probabilities(grid, F, p, i, eta)
     g = utility_gradient(grid, F, p, i)
-    want = project_oracle(ppoly, [a + eta * b for a, b in zip(p, g)])
+    q = [a + eta * b for a, b in zip(p, g)]
+    want = project_oracle(ppoly, q)
+    _verify_block_optimality(ppoly, q, want)
     err = max(abs(a - b) for a, b in zip(got, want))
 
     vpoly = threshold_polytope(grid)
     v = random_feasible(vpoly, rng)
     got, _ = ga_step_thresholds(grid, v, i, eta)
     g = threshold_gradient(grid, v, i)
-    want = project_oracle(vpoly, [a + eta * b for a, b in zip(v, g)])
+    q = [a + eta * b for a, b in zip(v, g)]
+    want = project_oracle(vpoly, q)
+    _verify_block_optimality(vpoly, q, want)
     return max(err, max(abs(a - b) for a, b in zip(got, want)))
 
 

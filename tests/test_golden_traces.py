@@ -15,12 +15,13 @@ import math
 import pytest
 
 from conftest import count_plays
-from fpabench import cli, metrics
+from fpabench import cli, learners, metrics
 from fpabench.cli import main as cli_main
 from fpabench.distributions import EqualRevenue, Uniform
 from fpabench.environments import run_multi_buyer
 from fpabench.grids import BidGrid
 from fpabench.learners import FixedStrategyBidder, ThresholdBidder, default_eta_threshold
+from fpabench.projection import _verify_block_optimality, project_oracle
 
 _K4 = "grid: {K: 4, eps: 0.2}\ndist: uniform\n"
 _ST_TAIL = ("adversary: stochastic(0.3,0.25,0.2,0.15,0.1)\nT: 1500\n"
@@ -185,6 +186,33 @@ def test_golden_plays_entry_counts(tmp_path, monkeypatch, name, seed):
     cfg.write_text(CONFIGS[name])
     assert cli_main(["run", "--config", str(cfg), "--seed", str(seed)]) == 0
     assert sizes == [PLAYS_ENTRIES[name, seed]]
+
+
+# the golden runs whose learners project through the oracle in every round
+_ORACLE_RUNS = [(n, s) for n, s in DIGESTS
+                if n in ("oracle_path_lazyftrl", "oracle_path_alg1_irregular",
+                         "sampled_lazyftrl")]
+
+
+@pytest.mark.parametrize("name,seed", _ORACLE_RUNS, ids=[f"{n}-{s}" for n, s in _ORACLE_RUNS])
+def test_golden_oracle_runs_project_to_certified_points(tmp_path, monkeypatch, name, seed):
+    # project_oracle returns PAV unchecked; every projection these runs make
+    # must still pass the KKT certificate, one per round
+    calls = []
+
+    def spy(poly, q):
+        q = list(q)
+        x = project_oracle(poly, q)
+        calls.append((poly, q, list(x)))
+        return x
+
+    monkeypatch.setattr(learners, "project_oracle", spy)
+    cfg = tmp_path / f"{name}.yaml"
+    cfg.write_text(CONFIGS[name])
+    assert cli_main(["run", "--config", str(cfg), "--seed", str(seed)]) == 0
+    assert len(calls) == 600  # _OP_TAIL's horizon
+    for poly, q, x in calls:
+        _verify_block_optimality(poly, q, x)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import re
 import pytest
 
 from fpabench import grids
-from fpabench.environments import DecreasingReserve, FixedSequence
+from fpabench.cli import _trace_csv
+from fpabench.distributions import Uniform
+from fpabench.environments import DecreasingReserve, FixedSequence, run_single_buyer
 from fpabench.grids import BidGrid, IrregularBidGrid
 from fpabench.learners import MeanBasedBucketBidder, ThresholdBidder
 from fpabench.projection import ga_step_thresholds
@@ -15,6 +17,19 @@ def test_uniform_grid_bids_are_exact_multiples():
     assert g.bids == (0.0, 0.125, 0.25, 0.375, 0.5)
     assert g.bids[0] == 0.0
     assert g.K == 4
+
+
+def test_an_integer_spacing_makes_float_bids():
+    # BidGrid(1, 1) kept eps = 1 and built the bids (0, 1) as ints
+    g = BidGrid(1, 1)
+    assert type(g.eps) is float and g.bids == (0.0, 1.0)
+    assert all(type(b) is float for b in g.bids)
+    tr = run_single_buyer(g, Uniform(), ThresholdBidder(g, 0.1), FixedSequence([0, 1, 0, 1]),
+                          4, mode="sampled", seed=3)
+    assert all(type(x) is float for x in tr.payment)
+    rows = [line.split(",") for line in _trace_csv(tr).splitlines()]
+    col = rows[0].index("payment")
+    assert all("." in row[col] for row in rows[1:])
 
 
 def test_uniform_grid_validation():

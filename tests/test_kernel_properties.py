@@ -6,7 +6,9 @@ their references' results bit for bit (``repr`` tells -0.0 from 0.0) in
 the regimes where the closed forms have edge cases: grids that reach past
 the value support, K = 1, points at the ``EqualRevenue`` knee, flat
 ``PiecewiseLinearCDF`` segments (a flat top included) and step sizes down
-to 1e-9.
+to 1e-9.  ``project_oracle``'s outputs on drawn chains must pass the
+KKT certificate and the frozen block check, in the same regimes and with
+tied inputs, inputs on a bound and |q| up to 1e300.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import former_revenue, former_utility
+from test_projection import _reference_block_check
 from fpabench.auction import (
     best_fixed_utility,
     best_fixed_utility_rows,
@@ -25,6 +28,13 @@ from fpabench.auction import (
 from fpabench.distributions import EqualRevenue, PiecewiseLinearCDF, Uniform
 from fpabench.grids import BidGrid
 from fpabench.metrics import check_robustness_step, robustness_columns
+from fpabench.projection import (
+    ChainPolytope,
+    _verify_block_optimality,
+    probability_polytope,
+    project_oracle,
+    threshold_polytope,
+)
 from fpabench.strategies import BucketStrategy, ComposedStrategy, MisreportMap, ThresholdStrategy
 
 _DISTRIBUTIONS = st.one_of(
@@ -155,3 +165,35 @@ def test_robustness_columns_match_check_robustness_step(kind, K, reach, F, data)
     for t in range(T):
         want = check_robustness_step(grid, F, states[t], states[t + 1], h[t], eta[t], kind)
         assert _same((slack[t], phi[t]), want), t
+
+
+def _chain(data, grid, F):
+    """A learner polytope on the grid (the probability caps 1 - F(b_j) are 0
+    past the value support), or a feasible chain with drawn boxes."""
+    kind = data.draw(st.sampled_from(["probability", "threshold", "generic"]))
+    if kind == "probability":
+        return probability_polytope(grid, F)
+    if kind == "threshold":
+        return threshold_polytope(grid)
+    K = grid.K
+    increasing = data.draw(st.booleans())
+    lo = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=K, max_size=K)))
+    up = lo + data.draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K))
+    # every ceiling clears the running max of the floors before it, taken
+    # in the direction the chain rises
+    step = 1 if increasing else -1
+    up = np.maximum(up, np.maximum.accumulate(lo[::step])[::step])
+    return ChainPolytope(increasing, tuple(lo.tolist()), tuple(up.tolist()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(K=_K, reach=_REACH, F=_DISTRIBUTIONS, data=st.data())
+def test_oracle_outputs_pass_the_kkt_certificate(K, reach, F, data):
+    poly = _chain(data, BidGrid(K, reach / K), F)
+    huge = st.floats(-1e300, 1e300)
+    ties = data.draw(st.lists(huge | st.floats(-1.5, 1.5), min_size=1, max_size=3))
+    pick = st.floats(-1.5, 1.5) | huge | st.sampled_from(poly.lower + poly.upper + tuple(ties))
+    q = data.draw(st.lists(pick, min_size=K, max_size=K))
+    x = project_oracle(poly, q)
+    _verify_block_optimality(poly, q, x)
+    _reference_block_check(poly, q, x)

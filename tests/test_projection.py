@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_rng
-from fpabench import projection
 from fpabench.auction import (
     CLAMP_TOL,
     check_probabilities,
@@ -17,16 +16,9 @@ from fpabench.auction import (
 )
 from fpabench.distributions import EqualRevenue, PiecewiseLinearCDF, Uniform
 from fpabench.grids import BidGrid, IrregularBidGrid
-from fpabench.learners import (
-    FixedStep,
-    GradientBidder,
-    LazyRegularizedBidder,
-    ThresholdBidder,
-    default_eta_known_f,
-)
+from fpabench.learners import FixedStep, GradientBidder, ThresholdBidder
 from fpabench.projection import (
     ChainPolytope,
-    _screen_blocks,
     _verify_block_optimality,
     ga_step_probabilities,
     ga_step_thresholds,
@@ -306,51 +298,22 @@ def _oracle_case(rng):
     return poly, q, x
 
 
-def test_block_screen_keeps_the_scan_verdicts_fuzz():
-    """The O(K) screen may only pass points the frozen reference passes, so
-    every verdict and message stays the reference's."""
+def test_block_check_keeps_the_reference_verdicts_near_the_threshold_fuzz():
+    """At the threshold, on bounds and ties, and with residuals near 1e300,
+    every verdict and message stays the frozen reference's."""
     rng = make_rng(120)
-    screened = raised = near_raised = near_passed = 0
+    raised = near_raised = near_passed = 0
     for k in range(3000):
         threshold = k % 2 == 0
         poly, q, x = _threshold_case(rng) if threshold else _oracle_case(rng)
         want = _verdict(_reference_block_check, poly, q, x)
         assert _verdict(_verify_block_optimality, poly, q, x) == want
-        screened += _screen_blocks(poly, q, x, TOL, ACT)
         raised += want is not None
         near_raised += threshold and want is not None and "KKT" in want
         near_passed += threshold and want is None
-    # the screen decides often, and both verdicts occur at the threshold
-    assert screened > 600
+    # both verdicts occur, and both occur at the threshold
     assert raised > 400
     assert near_raised > 100 and near_passed > 100
-
-
-def test_oracle_learners_never_reach_the_block_scan(monkeypatch):
-    """On the oracle-backed learners' own points the O(K) screen decides."""
-    screens, scans = [], []
-
-    def screen(*args):
-        screens.append(None)
-        return real_screen(*args)
-
-    real_screen = projection._screen_blocks
-    monkeypatch.setattr(projection, "_screen_blocks", screen)
-    monkeypatch.setattr(projection, "_scan_blocks", lambda *args: scans.append(args))
-    T = 2000
-    eta = default_eta_known_f(8, T)
-    learners = [
-        LazyRegularizedBidder(BidGrid(8, 0.1), Uniform(), eta),
-        GradientBidder(IrregularBidGrid((0.0, 0.05, 0.12, 0.2, 0.3, 0.42, 0.55, 0.7, 0.85)),
-                       Uniform(), FixedStep(eta)),
-    ]
-    rng = make_rng(122)
-    competing = [0.2, 0.15, 0.12, 0.1, 0.1, 0.09, 0.08, 0.08, 0.08]
-    for h in rng.choice(9, size=T, p=competing):
-        for lrn in learners:
-            lrn.observe(int(h))
-    assert len(screens) == 2 * T
-    assert scans == []
 
 
 def _former_dp(q, lo, up):
@@ -417,7 +380,8 @@ def test_oracle_is_exact_on_generic_chains_fuzz():
             q = np.round(q * 4) / 4
             q[rng.random(K) < 0.2] = poly.lower[0]
         q = [float(t) for t in q]
-        x = project_oracle(poly, q)  # raises unless the self-check passes
+        x = project_oracle(poly, q)
+        _verify_block_optimality(poly, q, x)
         assert poly.contains(x, atol=0.0)
         want = _former_projection(poly, q)
         assert max(abs(a - b) for a, b in zip(x, want)) <= 1e-15
